@@ -1,10 +1,9 @@
 // Command ccrouter fronts a fleet of ccserved replicas with a
 // consistent-hash sharding proxy: each request body is canonicalized
-// once, hashed to a shard, and forwarded — pre-computed cache key
-// attached — to the replica that owns it, so identical specs always hit
-// the same replica's cache. Replica health is probed actively and
-// observed passively; assignments rebalance automatically when a
-// replica dies and return when it recovers.
+// once, hashed to a shard, and forwarded to the replica that owns it, so
+// identical specs always hit the same replica's cache. Replica health
+// is probed actively and observed passively; assignments rebalance
+// automatically when a replica dies and return when it recovers.
 //
 // The replica set is given as repeated -replica id=url flags:
 //
@@ -13,9 +12,9 @@
 //	  -replica b=http://127.0.0.1:8082 \
 //	  -replica c=http://127.0.0.1:8083
 //
-// Each replica should run with the matching -shard-id and (on a trusted
-// network) -trust-router-keys so it reuses the router's canonical key
-// instead of re-hashing the body.
+// Each replica should run with the matching -shard-id. The shard key
+// only picks the replica; the replica derives the cache key itself, so
+// an answer's key is the same with or without the router.
 //
 // The router serves the same /v1 surface as ccserved — POST compute
 // endpoints are sharded by body key, GET /v1/version and /v1/stats

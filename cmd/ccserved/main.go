@@ -25,8 +25,9 @@
 // Every non-2xx response body is the typed APIError envelope (code,
 // message, requestId, details); streaming endpoints frame every NDJSON
 // line with a "kind" of progress, result or error. Behind a ccrouter
-// tier, -shard-id names the replica and -trust-router-keys lets it skip
-// re-canonicalizing bodies the router already hashed.
+// tier, -shard-id names the replica; its cache keys are its own, so an
+// answer's key is the same with or without the router. An exact repeat
+// of an answered body is served by its body digest before decoding.
 //
 // Examples:
 //
@@ -72,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ttl          = fs.Duration("ttl", 15*time.Minute, "result cache entry lifetime (negative disables expiry)")
 		workers      = fs.Int("workers", 0, "sweep/campaign worker goroutines (default GOMAXPROCS)")
 		shardID      = fs.String("shard-id", "", "shard identity reported in X-Shard and /v1/version (set when running behind ccrouter)")
-		trustRouter  = fs.Bool("trust-router-keys", false, "accept pre-computed cache keys from the X-Ccnet-Key header (only behind a trusted ccrouter tier)")
 		showVersion  = fs.Bool("version", false, "print version and exit")
 	)
 	obsFlags := obs.Register(fs)
@@ -104,14 +104,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	srv := service.New(service.Options{
-		CacheEntries:    *cacheEntries,
-		CacheBytes:      *cacheBytes,
-		CacheTTL:        *ttl,
-		Workers:         *workers,
-		ShardID:         *shardID,
-		TrustRouterKeys: *trustRouter,
-		Log:             stack.Log,
-		Tracer:          stack.Tracer,
+		CacheEntries: *cacheEntries,
+		CacheBytes:   *cacheBytes,
+		CacheTTL:     *ttl,
+		Workers:      *workers,
+		ShardID:      *shardID,
+		Log:          stack.Log,
+		Tracer:       stack.Tracer,
 	})
 	return serve(*addr, srv.Handler(), stdout, stderr)
 }

@@ -1,6 +1,6 @@
 // Package canon derives deterministic cache keys from evaluation
 // requests: a canonical JSON form (stable across Go map iteration order,
-// JSON key order and number spelling) is hashed with SHA-256 into an
+// JSON key order and float spelling) is hashed with SHA-256 into an
 // opaque versioned Key. The service layer keys its result cache on
 // Hash(system spec, message spec, resolved model options, lambda grid),
 // so two requests that mean the same evaluation — however they were
@@ -9,6 +9,7 @@
 package canon
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -21,14 +22,16 @@ import (
 
 // scheme versions the canonicalization itself: bump it when the
 // canonical form changes so stale persisted keys can never alias.
-const scheme = "v1"
+// v2 keeps integer tokens exactly as written (v1 rounded integers
+// beyond 15 digits through float64, merging distinct uint64 seeds).
+const scheme = "v2"
 
 // Scheme is the exported canonicalization-scheme version; the service's
 // /v1/version endpoint reports it so operators can tell whether two
 // replicas' cache keys are compatible.
 const Scheme = scheme
 
-// Key is a canonical cache key: "v1:" + hex SHA-256 of the canonical
+// Key is a canonical cache key: "v2:" + hex SHA-256 of the canonical
 // encoding. The zero value is invalid.
 type Key string
 
@@ -69,8 +72,9 @@ func MustHash(parts ...any) Key {
 }
 
 // Canonicalize returns the canonical JSON encoding of v: objects with
-// keys sorted (recursively), no insignificant whitespace, and numbers in
-// Go's shortest round-trippable spelling. The value is first marshaled
+// keys sorted (recursively), no insignificant whitespace, integer
+// tokens exactly as written and every other number in Go's shortest
+// round-trippable float64 spelling. The value is first marshaled
 // with encoding/json (so struct tags, omitempty and custom marshalers
 // apply exactly as they do on the wire) and then canonicalized by a
 // single pass over the marshaled bytes, which erases any ordering the
@@ -98,14 +102,17 @@ func Canonicalize(v any) ([]byte, error) {
 
 // canonicalizeReference is the original generic-tree implementation,
 // retained as the specification the scanner path is differentially
-// tested against.
+// tested against. It decodes numbers as json.Number so integer tokens
+// reach writeCanonical as written.
 func canonicalizeReference(v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
 	var generic any
-	if err := json.Unmarshal(raw, &generic); err != nil {
+	if err := dec.Decode(&generic); err != nil {
 		return nil, err
 	}
 	var b strings.Builder
@@ -129,11 +136,19 @@ func writeCanonical(b *strings.Builder, v any) error {
 		} else {
 			b.WriteString("false")
 		}
-	case float64:
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("non-finite number %v", x)
+	case json.Number:
+		if !strings.ContainsAny(string(x), ".eE") {
+			b.WriteString(string(x)) // integer token: kept as written
+			return nil
 		}
-		enc, err := json.Marshal(x)
+		f, err := x.Float64()
+		if err != nil {
+			return err
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("non-finite number %v", f)
+		}
+		enc, err := json.Marshal(f)
 		if err != nil {
 			return err
 		}

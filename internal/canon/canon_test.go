@@ -2,6 +2,7 @@ package canon
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -155,12 +156,39 @@ func TestKeyValid(t *testing.T) {
 	if !k.Valid() {
 		t.Errorf("fresh key %q not Valid", k)
 	}
-	if !strings.HasPrefix(string(k), "v1:") {
+	if !strings.HasPrefix(string(k), "v2:") {
 		t.Errorf("key %q missing scheme prefix", k)
 	}
-	for _, bad := range []Key{"", "v1:", Key("v0:" + strings.Repeat("0", 64)), Key("v1:" + strings.Repeat("0", 63))} {
+	for _, bad := range []Key{"", "v2:", Key("v1:" + strings.Repeat("0", 64)), Key("v2:" + strings.Repeat("0", 63))} {
 		if bad.Valid() {
 			t.Errorf("key %q unexpectedly Valid", bad)
 		}
+	}
+}
+
+// TestIntegersBeyondFloatPrecisionStayDistinct pins the v2 number rule:
+// integer tokens are kept as written, so uint64 seeds that round to the
+// same float64 (2^53 and 2^53+1) still get different keys, both as Go
+// values and as raw request bodies.
+func TestIntegersBeyondFloatPrecisionStayDistinct(t *testing.T) {
+	const lo, hi = uint64(1) << 53, uint64(1)<<53 + 1
+	if got, err := Canonicalize(hi); err != nil || string(got) != "9007199254740993" {
+		t.Errorf("Canonicalize(2^53+1) = %s, %v; want the integer as written", got, err)
+	}
+	loSpec, hiSpec := baseSpec(), baseSpec()
+	loSpec.Seed, hiSpec.Seed = lo, hi
+	if MustHash("campaign", loSpec) == MustHash("campaign", hiSpec) {
+		t.Error("specs with seeds 2^53 and 2^53+1 share a key")
+	}
+	body := func(seed uint64) json.RawMessage {
+		return json.RawMessage(fmt.Sprintf(`{"name":"des-small","seed":%d,"system":{"preset":"small"}}`, seed))
+	}
+	if MustHash("campaign", body(lo)) == MustHash("campaign", body(hi)) {
+		t.Error("raw bodies with seeds 2^53 and 2^53+1 share a key")
+	}
+	// Float spellings still normalize: an exponent form of an integer
+	// means the same float64 as its digits.
+	if MustHash(json.RawMessage(`[1e3, 2.50]`)) != MustHash(json.RawMessage(`[1000, 2.5]`)) {
+		t.Error("float spellings of one value no longer share a key")
 	}
 }

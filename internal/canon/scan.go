@@ -34,11 +34,12 @@ type member struct {
 
 // appendCanonical canonicalizes the first JSON value in src onto dst and
 // returns the remaining input. It mirrors the reference pipeline
-// (json.Unmarshal into any, re-render with sorted keys) token by token:
-// numbers round through float64 into encoding/json's float spelling,
-// strings decode (with invalid-escape replacement) and re-encode with
-// encoding/json's HTML-escaping rules, object keys sort byte-wise with
-// the last duplicate winning.
+// (decode into any with UseNumber, re-render with sorted keys) token by
+// token: integer tokens are copied as written, other numbers round
+// through float64 into encoding/json's float spelling, strings decode
+// (with invalid-escape replacement) and re-encode with encoding/json's
+// HTML-escaping rules, object keys sort byte-wise with the last
+// duplicate winning.
 func appendCanonical(dst, src []byte) ([]byte, []byte, error) {
 	var sc scanner
 	return sc.value(dst, src)
@@ -95,10 +96,12 @@ func appendLiteral(dst, src []byte, lit string) ([]byte, []byte, error) {
 	return append(dst, lit...), src[len(lit):], nil
 }
 
-// appendNumber parses one number token through float64 and re-emits it
-// exactly as encoding/json renders a float64. Short integer tokens skip
-// the round trip: they are exactly representable, and the 'f'-format
-// shortest rendering of such a float64 is the integer digits verbatim.
+// appendNumber copies an integer token (digits after an optional minus
+// sign) exactly as written — rounding it through float64 would merge
+// distinct integers beyond 2^53, such as neighboring uint64 seeds — and
+// re-emits any other number token exactly as encoding/json renders a
+// float64. The input is valid JSON (it comes from json.Marshal), so an
+// integer token has no leading zeros to normalize.
 func appendNumber(dst, src []byte) ([]byte, []byte, error) {
 	i := 1 // sign or first digit already vetted
 	intOnly := true
@@ -114,11 +117,7 @@ func appendNumber(dst, src []byte) ([]byte, []byte, error) {
 		}
 	}
 done:
-	digits := i
-	if src[0] == '-' {
-		digits--
-	}
-	if intOnly && digits <= 15 {
+	if intOnly {
 		return append(dst, src[:i]...), src[i:], nil
 	}
 	f, err := strconv.ParseFloat(string(src[:i]), 64)

@@ -25,6 +25,7 @@ var diffCases = []any{
 	json.RawMessage(`{"outer":{"y":1,"x":{"dup":"first","dup":"second"}}}`),
 	json.RawMessage(`"\u2028"`),
 	json.RawMessage(`[1e-6, 0.0000001, 100000000000000000000, 1e21]`),
+	uint64(1)<<53 + 1, int64(-1) << 62, json.RawMessage(`[9007199254740993, -0, 12345678901234567890123]`),
 }
 
 // TestScannerMatchesReference proves the single-pass canonicalizer is

@@ -15,7 +15,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -31,10 +30,22 @@ const (
 	KindHistogram Kind = "histogram"
 )
 
-var (
-	nameRE  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	labelRE = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
-)
+// validName reports whether s is a metric name
+// ([a-zA-Z_:][a-zA-Z0-9_:]*) or, with colon false, a label name
+// ([a-zA-Z_][a-zA-Z0-9_]*). It is a byte loop rather than a regexp
+// because every server construction registers a few dozen families.
+func validName(s string, colon bool) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '_', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z':
+		case c == ':' && colon:
+		case '0' <= c && c <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return s != ""
+}
 
 // DefLatencyBuckets spans 100 µs to 10 s — the service's request
 // latencies range from cache hits (tens of µs) to cold campaign runs
@@ -84,11 +95,11 @@ type funcChild struct {
 // register creates or fetches a family, checking that re-registrations
 // agree on kind, help and label names.
 func (r *Registry) register(name, help string, kind Kind, labels []string, bounds []float64) *family {
-	if !nameRE.MatchString(name) {
+	if !validName(name, true) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
 	for _, l := range labels {
-		if !labelRE.MatchString(l) {
+		if !validName(l, false) {
 			panic(fmt.Sprintf("metrics: %s: invalid label name %q", name, l))
 		}
 	}

@@ -81,6 +81,8 @@ func TestRegistrationPanics(t *testing.T) {
 	}{
 		{"bad metric name", func(r *Registry) { r.Counter("0bad", "") }},
 		{"bad label name", func(r *Registry) { r.CounterVec("ok_total", "", "0bad") }},
+		{"empty metric name", func(r *Registry) { r.Counter("", "") }},
+		{"colon in label name", func(r *Registry) { r.CounterVec("ok:total", "", "a:b") }},
 		{"kind clash", func(r *Registry) { r.Counter("x_total", ""); r.Gauge("x_total", "") }},
 		{"label clash", func(r *Registry) { r.CounterVec("y_total", "", "a"); r.CounterVec("y_total", "", "b") }},
 		{"arity", func(r *Registry) { r.CounterVec("z_total", "", "a").With("1", "2") }},

@@ -8,7 +8,7 @@
 //
 // The trace identity travels as a W3C traceparent header, minted at
 // the outermost tier (ccrouter, or ccserved when unfronted) and
-// propagated alongside X-Ccnet-Key and X-Request-Id. The minting tier
+// propagated alongside X-Request-Id. The minting tier
 // makes the sampling decision (deterministic: head-N plus a seeded
 // hash of the trace id) and downstream tiers honor its sampled flag,
 // so a request is traced everywhere or nowhere.

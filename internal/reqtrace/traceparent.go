@@ -7,7 +7,7 @@ import (
 
 // Header is the W3C Trace Context request header carrying the trace
 // identity across tiers: ccrouter mints it (or adopts the client's) and
-// forwards it to the replica alongside X-Ccnet-Key; an unfronted
+// forwards it to the replica alongside X-Request-Id; an unfronted
 // ccserved mints it itself.
 const Header = "traceparent"
 

@@ -55,11 +55,11 @@ type Options struct {
 	// transition, retry, mid-stream failure and unavailable request.
 	Log *slog.Logger
 	// Tracer, when set, traces keyed forwards: the router adopts (or
-	// mints) the W3C traceparent, propagates it — with the request id
-	// and shard key — to the replica, records ring-walk/attempt/stream
-	// spans, and serves the export ring on GET /v1/traces. The
-	// replica's tracer honors the sampled flag, so one decision at the
-	// router governs the whole request path.
+	// mints) the W3C traceparent, propagates it with the request id to
+	// the replica, records ring-walk/attempt/stream spans, and serves
+	// the export ring on GET /v1/traces. The replica's tracer honors
+	// the sampled flag, so one decision at the router governs the whole
+	// request path.
 	Tracer *reqtrace.Tracer
 }
 
@@ -269,9 +269,9 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleKeyed shards one spec-carrying POST: read the body once,
-// canonicalize it into the shard key, and forward — key attached — to
-// the first healthy candidate, retrying transport failures against the
-// next candidates while nothing has been sent to the client.
+// canonicalize it into the shard key, and forward it to the first
+// healthy candidate, retrying transport failures against the next
+// candidates while nothing has been sent to the client.
 func (r *Router) handleKeyed(w http.ResponseWriter, req *http.Request, endpoint string) {
 	reqID := r.ensureRequestID(w, req)
 	// The router owns the trace decision for the whole request path: it
@@ -293,11 +293,12 @@ func (r *Router) handleKeyed(w http.ResponseWriter, req *http.Request, endpoint 
 		return
 	}
 	// The canonical hash both validates the body is JSON and derives
-	// the shard key the replica will reuse as its cache key. Hashing
-	// the raw JSON value (not the decoded endpoint struct) means the
-	// router needs no per-endpoint schema knowledge; two spellings of
-	// the same spec (key order, number forms) still collide onto one
-	// shard and one cache entry.
+	// the shard key; it chooses the shard and nothing else — the
+	// replica derives its own cache key from the decoded request, so an
+	// answer's key is the same with or without a router. Hashing the
+	// raw JSON value (not the decoded endpoint struct) means the router
+	// needs no per-endpoint schema knowledge; two spellings of the same
+	// spec (key order, number forms) still land on one shard.
 	sp := tr.StartSpan("canon")
 	key, err := canon.Hash(endpoint, json.RawMessage(body))
 	sp.EndErr(err)
@@ -309,7 +310,7 @@ func (r *Router) handleKeyed(w http.ResponseWriter, req *http.Request, endpoint 
 		return
 	}
 	candidates := r.ring.candidates(string(key))
-	r.forward(w, req, endpoint, string(key), body, candidates, reqID)
+	r.forward(w, req, endpoint, body, candidates, reqID)
 }
 
 // handleKeyless round-robins a GET across healthy replicas.
@@ -321,7 +322,7 @@ func (r *Router) handleKeyless(w http.ResponseWriter, req *http.Request) {
 	for i := 0; i < n; i++ {
 		candidates = append(candidates, (start+i)%n)
 	}
-	r.forward(w, req, strings.TrimPrefix(req.URL.Path, "/v1/"), "", nil, candidates, reqID)
+	r.forward(w, req, strings.TrimPrefix(req.URL.Path, "/v1/"), nil, candidates, reqID)
 }
 
 // forward tries the candidates in order — healthy ones first, then (as
@@ -330,7 +331,7 @@ func (r *Router) handleKeyless(w http.ResponseWriter, req *http.Request) {
 // response byte reaches the client marks the replica, backs off with
 // jitter and moves on; once bytes have streamed, a failure is reported
 // in-band as an "error" frame instead, because the HTTP status is gone.
-func (r *Router) forward(w http.ResponseWriter, req *http.Request, endpoint, key string, body []byte, candidates []int, reqID string) {
+func (r *Router) forward(w http.ResponseWriter, req *http.Request, endpoint string, body []byte, candidates []int, reqID string) {
 	r.m.inflight.Add(1)
 	defer r.m.inflight.Add(-1)
 
@@ -377,7 +378,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, endpoint, key
 			case <-time.After(r.backoff(attempt)):
 			}
 		}
-		done, err := r.tryOnce(w, req, i, attempt, endpoint, key, body, reqID, fwdStart)
+		done, err := r.tryOnce(w, req, i, attempt, endpoint, body, reqID, fwdStart)
 		if done {
 			return
 		}
@@ -412,7 +413,7 @@ func (r *Router) backoff(n int) time.Duration {
 // answered (successfully or in-band) and the caller must stop; when
 // done is false the attempt failed cleanly before any client byte and
 // the caller may retry elsewhere.
-func (r *Router) tryOnce(w http.ResponseWriter, req *http.Request, i, attempt int, endpoint, key string, body []byte, reqID string, fwdStart time.Time) (done bool, err error) {
+func (r *Router) tryOnce(w http.ResponseWriter, req *http.Request, i, attempt int, endpoint string, body []byte, reqID string, fwdStart time.Time) (done bool, err error) {
 	rep := r.opt.Replicas[i]
 	tr := reqtrace.FromContext(req.Context())
 	var rd io.Reader
@@ -427,9 +428,6 @@ func (r *Router) tryOnce(w http.ResponseWriter, req *http.Request, i, attempt in
 		out.Header.Set("Content-Type", ct)
 	}
 	out.Header.Set(service.RequestIDHeader, reqID)
-	if key != "" {
-		out.Header.Set(service.RoutedKeyHeader, key)
-	}
 	// The replica joins this trace: same trace id, same sampling
 	// verdict. An untraced request forwards no header at all (nil
 	// Trace renders the empty string), so the replica falls back to

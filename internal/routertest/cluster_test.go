@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -236,6 +237,44 @@ func TestCacheHitLocality(t *testing.T) {
 	}
 	if computes != uint64(len(suite)) {
 		t.Errorf("fleet computed %d times for %d distinct specs, want exactly one compute each", computes, len(suite))
+	}
+}
+
+// TestRoutedDuplicateMembersAnswerLikeUnfronted: two bodies that differ
+// only inside a duplicated "message" member share the router's shard key
+// (its canonical hash keeps the last duplicate) but mean different
+// requests (encoding/json merges duplicates: 32 vs 64 flits). Routed
+// through K=3, each must get exactly the key and result an unfronted
+// replica gives it — the 64-flit system saturates at this rate.
+func TestRoutedDuplicateMembersAnswerLikeUnfronted(t *testing.T) {
+	c, err := Start(Config{Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	direct := httptest.NewServer(service.New(service.Options{}).Handler())
+	defer direct.Close()
+
+	results := map[int]string{}
+	for _, flits := range []int{32, 64} {
+		sc := specCase{"evaluate", fmt.Sprintf(
+			`{"system":{"preset":"N=1120"},"message":{"flits":%d},"message":{"flitBytes":256},"lambda":0.0003}`,
+			flits), false}
+		rkey, rres, _, _ := post(t, c.BaseURL(), sc)
+		dkey, dres, _, _ := post(t, direct.URL, sc)
+		if rkey != dkey || rres != dres {
+			t.Errorf("flits %d: routed (%s, %s) differs from unfronted (%s, %s)", flits, rkey, rres, dkey, dres)
+		}
+		results[flits] = rres
+	}
+	var sat struct {
+		Saturated bool `json:"saturated"`
+	}
+	if err := json.Unmarshal([]byte(results[64]), &sat); err != nil || !sat.Saturated {
+		t.Errorf("64-flit answer %s is not saturated (err %v)", results[64], err)
+	}
+	if results[32] == results[64] {
+		t.Error("the two spellings got one answer")
 	}
 }
 

@@ -40,10 +40,6 @@ type Config struct {
 	// Workers bounds each replica's sweep/campaign parallelism (zero
 	// means the service default, GOMAXPROCS).
 	Workers int
-	// DistrustRouterKeys starts replicas WITHOUT -trust-router-keys, so
-	// each replica re-canonicalizes bodies itself. Tests use it to prove
-	// the routed surface behaves identically either way.
-	DistrustRouterKeys bool
 	// NewHandler, when set, replaces the real service handler for every
 	// replica — failure-mode tests use it to build replicas with
 	// scripted behavior. The function is called again on Restart.
@@ -152,10 +148,9 @@ func (c *Cluster) startMember(m *member, ln net.Listener) {
 		m.srv = &http.Server{Handler: c.cfg.NewHandler(m.id)}
 	} else {
 		m.svc = service.New(service.Options{
-			Workers:         c.cfg.Workers,
-			ShardID:         m.id,
-			TrustRouterKeys: !c.cfg.DistrustRouterKeys,
-			Tracer:          c.cfg.tracerFor(m.id),
+			Workers: c.cfg.Workers,
+			ShardID: m.id,
+			Tracer:  c.cfg.tracerFor(m.id),
 		})
 		m.srv = &http.Server{Handler: m.svc.Handler()}
 	}

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"net/http"
-
-	"github.com/ccnet/ccnet/internal/canon"
 )
 
 // Stable machine-readable error codes of the v1 API. Every non-2xx
@@ -62,24 +60,13 @@ func NewRequestID() string {
 // response and every error payload, and forwarded by ccrouter.
 const RequestIDHeader = "X-Request-Id"
 
-// RoutedKeyHeader carries the canonical-spec key ccrouter computed when
-// it picked the shard. A replica started with TrustRouterKeys uses it
-// verbatim as the cache key, skipping its own canonicalization pass.
-// The header is part of the trusted router↔replica contract: a replica
-// exposed directly to untrusted clients must not enable it, since a
-// forged key could alias distinct requests onto one cache entry.
-const RoutedKeyHeader = "X-Ccnet-Key"
-
 // ShardHeader names the replica that answered, set by a replica that
 // knows its shard ID and passed through by the router.
 const ShardHeader = "X-Shard"
 
 type ctxKey int
 
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyRoutedKey
-)
+const ctxKeyRequestID ctxKey = 0
 
 // WithRequestID attaches a request ID to ctx; the NDJSON error frames
 // and APIError bodies read it back via RequestIDFrom.
@@ -91,17 +78,6 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 func RequestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(ctxKeyRequestID).(string)
 	return id
-}
-
-// withRoutedKey attaches the router-computed cache key to ctx.
-func withRoutedKey(ctx context.Context, k canon.Key) context.Context {
-	return context.WithValue(ctx, ctxKeyRoutedKey, k)
-}
-
-// routedKeyFrom returns the trusted router-computed key, or "".
-func routedKeyFrom(ctx context.Context) canon.Key {
-	k, _ := ctx.Value(ctxKeyRoutedKey).(canon.Key)
-	return k
 }
 
 // statusFor maps a compute error to its HTTP status: request-caused

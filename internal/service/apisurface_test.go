@@ -149,64 +149,6 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
-// TestTrustedRouterKey: with TrustRouterKeys on, a valid X-Ccnet-Key
-// becomes the cache key verbatim (the replica skips canonicalization);
-// with it off — the default — the header is ignored.
-func TestTrustedRouterKey(t *testing.T) {
-	forced := canon.MustHash("router", "some-canonical-body")
-
-	trusted := New(Options{TrustRouterKeys: true})
-	req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(smallEvaluate))
-	req.Header.Set(RoutedKeyHeader, string(forced))
-	rec := httptest.NewRecorder()
-	trusted.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var env Envelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Key != string(forced) {
-		t.Fatalf("key %q, want the forwarded %q", env.Key, forced)
-	}
-	// The same forwarded key answers from the cache.
-	req = httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(smallEvaluate))
-	req.Header.Set(RoutedKeyHeader, string(forced))
-	rec = httptest.NewRecorder()
-	trusted.Handler().ServeHTTP(rec, req)
-	if rec.Header().Get("X-Cache") != classHit {
-		t.Fatalf("forwarded key did not hit the cache: X-Cache=%q", rec.Header().Get("X-Cache"))
-	}
-
-	// An invalid key (wrong scheme/length) is ignored even when trusted.
-	req = httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(smallEvaluate))
-	req.Header.Set(RoutedKeyHeader, "v1:short")
-	rec = httptest.NewRecorder()
-	trusted.Handler().ServeHTTP(rec, req)
-	var env2 Envelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env2); err != nil {
-		t.Fatal(err)
-	}
-	if env2.Key == "v1:short" {
-		t.Fatal("malformed forwarded key was trusted")
-	}
-
-	// Untrusted replica: header ignored, native key derived.
-	plain := New(Options{})
-	req = httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(smallEvaluate))
-	req.Header.Set(RoutedKeyHeader, string(forced))
-	rec = httptest.NewRecorder()
-	plain.Handler().ServeHTTP(rec, req)
-	var env3 Envelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env3); err != nil {
-		t.Fatal(err)
-	}
-	if env3.Key == string(forced) {
-		t.Fatal("untrusted replica honored the router key header")
-	}
-}
-
 // frameProbe is the minimal decode every NDJSON consumer performs:
 // dispatch on "kind" alone.
 type frameProbe struct {
@@ -289,7 +231,7 @@ func TestStreamErrorFrameIsAPIError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf strings.Builder
-	if _, err := srv.runOptimize(WithRequestID(ctx, "stream-err-1"), spec, &buf, ""); err == nil {
+	if _, err := srv.RunOptimize(WithRequestID(ctx, "stream-err-1"), spec, &buf); err == nil {
 		t.Fatal("cancelled search reported no error")
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -141,22 +141,22 @@ func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) ba
 	switch it.Kind {
 	case "evaluate":
 		var req EvaluateRequest
-		if derr := decodeSpec(it.Spec, &req); derr != nil {
+		if derr := decodeStrict(it.Spec, &req, "spec"); derr != nil {
 			return fail(badRequest(fmt.Errorf("item %d: %w", index, derr)))
 		}
-		payload, key, class, err = s.evaluate(ctx, &req, "")
+		payload, key, class, err = s.evaluate(ctx, &req)
 	case "sweep":
 		var req SweepRequest
-		if derr := decodeSpec(it.Spec, &req); derr != nil {
+		if derr := decodeStrict(it.Spec, &req, "spec"); derr != nil {
 			return fail(badRequest(fmt.Errorf("item %d: %w", index, derr)))
 		}
-		payload, key, class, err = s.sweep(ctx, &req, "")
+		payload, key, class, err = s.sweep(ctx, &req)
 	case "campaign":
 		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
 		if perr != nil {
 			return fail(badRequest(perr))
 		}
-		payload, key, class, err = s.campaign(ctx, spec, "")
+		payload, key, class, err = s.campaign(ctx, spec)
 	case "performability":
 		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
 		if perr != nil {
@@ -165,7 +165,7 @@ func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) ba
 		if spec.Performability == nil {
 			return fail(badRequest(fmt.Errorf("item %d: performability: section required", index)))
 		}
-		payload, key, class, err = s.performability(ctx, spec, "")
+		payload, key, class, err = s.performability(ctx, spec)
 	case "fleetsim":
 		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
 		if perr != nil {
@@ -174,7 +174,7 @@ func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) ba
 		if spec.FleetSim == nil {
 			return fail(badRequest(fmt.Errorf("item %d: fleetsim: section required", index)))
 		}
-		payload, key, class, err = s.fleetsimItem(ctx, spec, "")
+		payload, key, class, err = s.fleetsimItem(ctx, spec)
 	default:
 		return fail(badRequest(fmt.Errorf("item %d: kind: unknown kind %q (valid: evaluate, sweep, campaign, performability, fleetsim)", index, it.Kind)))
 	}
@@ -185,19 +185,6 @@ func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) ba
 	o.Key = string(key)
 	o.Cached = cachedClass(class)
 	return o
-}
-
-// decodeSpec strictly decodes one item spec document.
-func decodeSpec(spec json.RawMessage, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(spec))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return scenario.DecodeError(err)
-	}
-	if dec.More() {
-		return errors.New("trailing data after the spec object")
-	}
-	return nil
 }
 
 // handleBatch serves POST /v1/batch: the request is decoded up front

@@ -267,3 +267,61 @@ func TestSingleflightDistinctKeysDoNotCoalesce(t *testing.T) {
 	close(barrier)
 	wg.Wait()
 }
+
+// TestCacheAliases pins the alias bookkeeping: an alias finds its entry
+// and counts as a hit, is charged against the byte bound, is capped per
+// entry (the oldest goes), and dies with its entry.
+func TestCacheAliases(t *testing.T) {
+	c := NewCache(0, 1<<20, 0)
+	c.Put(key("a"), []byte("payload"))
+	base := c.Stats().Bytes
+	digest := func(i int) BodyDigest { return digestBody("evaluate", []byte(fmt.Sprint(i))) }
+
+	c.AddAlias(BodyDigest{}, key("a"))  // zero digest: ignored
+	c.AddAlias(digest(99), key("none")) // key not cached: ignored
+	for i := 0; i <= maxAliases; i++ {  // one more than the cap
+		c.AddAlias(digest(i), key("a"))
+	}
+	c.AddAlias(digest(maxAliases), key("a")) // already aliased: ignored
+	st := c.Stats()
+	if st.Aliases != maxAliases || st.Bytes != base+maxAliases*aliasSize {
+		t.Fatalf("after %d aliases: %d aliases, %d bytes; want %d and %d",
+			maxAliases+1, st.Aliases, st.Bytes, maxAliases, base+maxAliases*aliasSize)
+	}
+	if _, _, ok := c.GetAlias(digest(0)); ok {
+		t.Error("the oldest alias survived the cap")
+	}
+	k, v, ok := c.GetAlias(digest(maxAliases))
+	if !ok || k != key("a") || string(v) != "payload" {
+		t.Fatalf("GetAlias = %q, %q, %v", k, v, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.AliasHits != 1 || st.Misses != 0 {
+		t.Errorf("alias lookups counted %+v; want one hit and no misses", st)
+	}
+
+	c.Put(key("a"), []byte("replaced")) // a replaced entry drops its aliases
+	if st := c.Stats(); st.Aliases != 0 || st.Bytes != base+1 {
+		t.Errorf("after replacing the entry: %+v", st)
+	}
+	if _, _, ok := c.GetAlias(digest(maxAliases)); ok {
+		t.Error("alias outlived its entry")
+	}
+}
+
+// TestCacheAliasChargeEvicts: an alias that pushes the cache over its
+// byte bound evicts the least recently used entry with its aliases.
+func TestCacheAliasChargeEvicts(t *testing.T) {
+	val := []byte(strings.Repeat("x", 100))
+	one := int64(len(key("a"))) + int64(len(val)) + entryOverhead
+	c := NewCache(0, 2*one+aliasSize/2, 0)
+	c.Put(key("a"), val)
+	c.AddAlias(digestBody("sweep", []byte("a")), key("a"))
+	c.Put(key("b"), val) // a plus its alias no longer fit beside b
+	if _, ok := c.Get(key("a")); ok {
+		t.Fatal("entry a survived")
+	}
+	c.AddAlias(digestBody("sweep", []byte("b")), key("b"))
+	if st := c.Stats(); st.Entries != 1 || st.Aliases != 1 || st.Evictions != 1 {
+		t.Errorf("stats %+v; want b and its alias only", st)
+	}
+}

@@ -6,36 +6,21 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"time"
 
 	"github.com/ccnet/ccnet/internal/canon"
 	"github.com/ccnet/ccnet/internal/fleetsim"
-	"github.com/ccnet/ccnet/internal/reqtrace"
 	"github.com/ccnet/ccnet/internal/scenario"
 )
 
-// fleetsimKey hashes the scenario spec with its defaults resolved, so
-// "seed omitted" and "seed": 1 share a cache entry.
-func fleetsimKey(spec *scenario.Spec) (canon.Key, error) {
-	norm := *spec
-	if norm.Seed == 0 {
-		norm.Seed = 1
-	}
-	return canon.Hash("fleetsim", norm)
-}
-
 // fleetsimItem computes one fleet simulation through the cache without
 // streaming epochs; the batch executor uses it.
-func (s *Server) fleetsimItem(ctx context.Context, spec *scenario.Spec, forced canon.Key) (payload []byte, key canon.Key, class string, err error) {
+func (s *Server) fleetsimItem(ctx context.Context, spec *scenario.Spec) (payload []byte, key canon.Key, class string, err error) {
 	study, err := spec.FleetStudy()
 	if err != nil {
 		return nil, "", "", badRequest(err)
 	}
-	key = forced
-	if key == "" {
-		if key, err = fleetsimKey(spec); err != nil {
-			return nil, "", "", err
-		}
+	if key, err = specKey("fleetsim", spec); err != nil {
+		return nil, "", "", err
 	}
 	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
 		eng := &fleetsim.Engine{Workers: s.workers()}
@@ -58,90 +43,36 @@ func (s *Server) fleetsimItem(ctx context.Context, spec *scenario.Spec, forced c
 // returned report is nil when this call did not run the simulation
 // itself. `ccscen fleet -ndjson` and POST /v1/fleetsim share this path.
 func (s *Server) RunFleetSim(ctx context.Context, spec *scenario.Spec, w io.Writer) (*fleetsim.Report, error) {
+	s.fleetsims.Add(1)
 	study, err := spec.FleetStudy()
 	if err != nil {
-		s.fleetsims.Add(1)
 		s.failures.Add(1)
 		return nil, badRequest(err)
 	}
-	return s.runFleetSim(ctx, spec, study, w, "")
+	return s.runFleetSim(ctx, spec, study, w, BodyDigest{})
 }
 
 // runFleetSim is RunFleetSim with the study already built — the HTTP
 // handler assembles it once for its pre-stream validation and hands it
-// straight in, along with the router-forwarded cache key when the
-// replica trusts its router tier.
-func (s *Server) runFleetSim(ctx context.Context, spec *scenario.Spec, study *fleetsim.Study, w io.Writer, forced canon.Key) (*fleetsim.Report, error) {
-	s.fleetsims.Add(1)
-	st, done := s.newStream(ctx, "fleetsim", w)
-	defer done()
-
-	tr := reqtrace.FromContext(ctx)
-	key := forced
-	if key == "" {
-		sp := tr.StartSpan("canon")
-		var err error
-		key, err = fleetsimKey(spec)
-		sp.EndErr(err)
-		if err != nil {
-			s.failures.Add(1)
-			return nil, err
-		}
-	}
-	cs := tr.StartSpan("cache")
-	if payload, ok := s.cache.Get(key); ok {
-		cs.Attr(reqtrace.String("class", classHit)).End()
-		setHitClass(w, classHit)
-		return nil, st.emitResult(true, key, payload)
-	}
-	cs.End()
-
+// straight in, along with the body digest to alias.
+func (s *Server) runFleetSim(ctx context.Context, spec *scenario.Spec, study *fleetsim.Study, w io.Writer, digest BodyDigest) (*fleetsim.Report, error) {
 	var rep *fleetsim.Report
-	flightStart := time.Now()
-	payload, err, shared := s.flight.Do(string(key), func() ([]byte, error) {
-		s.computes.Add(1)
-		sp := tr.StartSpan("compute")
-		defer sp.End()
-		var streamErr error
-		eng := &fleetsim.Engine{
-			Workers: s.workers(),
-			EpochReady: func(em fleetsim.EpochMetrics) {
-				if streamErr != nil {
-					return
-				}
-				// Client gone; keep computing for the sharers.
-				streamErr = st.emit(FleetEpochLine{Kind: FrameProgress, EpochMetrics: em})
-			},
-		}
-		r, err := eng.Run(ctx, study)
-		if err != nil {
-			sp.EndErr(err)
-			return nil, err
-		}
-		b, err := json.Marshal(r)
-		if err != nil {
-			return nil, err
-		}
-		rep = r
-		s.cache.Put(key, b)
-		return b, nil
-	})
-	if shared {
-		s.coalesced.Add(1)
-		tr.RecordSpan("wait", flightStart, time.Since(flightStart)).
-			Attr(reqtrace.String("class", classCoalesced))
-		setHitClass(w, classCoalesced)
-	} else {
-		setHitClass(w, classMiss)
-	}
-	if err != nil {
-		s.failures.Add(1)
-		tr.SetError(err.Error())
-		// Streaming has begun; report the failure in-band.
-		st.emitError(err)
-		return nil, err
-	}
-	return rep, st.emitResult(shared, key, payload)
+	err := s.runStream(ctx, "fleetsim", w, digest,
+		func() (canon.Key, error) { return specKey("fleetsim", spec) },
+		func(emit func(any)) ([]byte, error) {
+			eng := &fleetsim.Engine{
+				Workers:    s.workers(),
+				EpochReady: func(em fleetsim.EpochMetrics) { emit(FleetEpochLine{Kind: FrameProgress, EpochMetrics: em}) },
+			}
+			r, err := eng.Run(ctx, study)
+			if err != nil {
+				return nil, err
+			}
+			b, err := json.Marshal(r)
+			rep = r
+			return b, err
+		})
+	return rep, err
 }
 
 // handleFleetSim serves POST /v1/fleetsim: the body is a kind "fleetsim"
@@ -151,12 +82,9 @@ func (s *Server) runFleetSim(ctx context.Context, spec *scenario.Spec, study *fl
 // result frame. A client that disconnects cancels the evaluation via
 // the request context.
 func (s *Server) handleFleetSim(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	sp := reqtrace.FromContext(r.Context()).StartSpan("decode")
-	spec, err := scenario.Parse(r.Body, "request")
-	sp.EndErr(err)
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, badRequest(err))
+	s.fleetsims.Add(1)
+	spec, digest, answered := s.parseScenario(w, r, "fleetsim")
+	if answered {
 		return
 	}
 	if spec.FleetSim == nil {
@@ -170,7 +98,6 @@ func (s *Server) handleFleetSim(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, badRequest(err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	_, _ = s.runFleetSim(r.Context(), spec, study, w, routedKeyFrom(r.Context()))
+	startStream(w)
+	_, _ = s.runFleetSim(r.Context(), spec, study, w, digest)
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/ccnet/ccnet/internal/canon"
 	"github.com/ccnet/ccnet/internal/metrics"
 	"github.com/ccnet/ccnet/internal/reqtrace"
 	"github.com/ccnet/ccnet/internal/version"
@@ -102,6 +101,9 @@ func (s *Server) initMetrics() {
 	// pins this.
 	reg.CounterFunc("ccserved_cache_hits_total", "Result-cache lookups answered.",
 		func() float64 { return float64(s.cache.Stats().Hits) })
+	reg.CounterFunc("ccserved_cache_alias_hits_total",
+		"Result-cache hits found by body digest before decoding (included in hits).",
+		func() float64 { return float64(s.cache.Stats().AliasHits) })
 	reg.CounterFunc("ccserved_cache_misses_total", "Result-cache lookups missed.",
 		func() float64 { return float64(s.cache.Stats().Misses) })
 	reg.CounterFunc("ccserved_cache_evictions_total", "Entries evicted by the LRU bounds.",
@@ -110,6 +112,8 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.cache.Stats().Expirations) })
 	reg.GaugeFunc("ccserved_cache_entries", "Entries currently cached.",
 		func() float64 { return float64(s.cache.Stats().Entries) })
+	reg.GaugeFunc("ccserved_cache_aliases", "Body digests currently aliasing a cached entry.",
+		func() float64 { return float64(s.cache.Stats().Aliases) })
 	reg.GaugeFunc("ccserved_cache_bytes", "Bytes currently cached (keys + payloads + overhead).",
 		func() float64 { return float64(s.cache.Stats().Bytes) })
 
@@ -237,9 +241,9 @@ func setHitClass(w any, class string) {
 
 // instrument wraps the route table: request-ID generation/propagation
 // (X-Request-Id accepted or minted, echoed on the response, attached to
-// the context for error envelopes), trusted router-key extraction, the
-// X-Shard header when the replica knows its shard, an in-flight gauge
-// around the handler and one histogram observation per request, labeled
+// the context for error envelopes), the X-Shard header when the replica
+// knows its shard, an in-flight gauge around the handler and one
+// histogram observation per request, labeled
 // by endpoint, status and hit class. The hit class comes from the
 // streaming endpoints' setHitClass or the JSON endpoints' X-Cache
 // header; endpoints without a cache record "none".
@@ -260,11 +264,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			w.Header().Set(ShardHeader, s.opt.ShardID)
 		}
 		ctx := WithRequestID(r.Context(), id)
-		if s.opt.TrustRouterKeys {
-			if k := canon.Key(r.Header.Get(RoutedKeyHeader)); k.Valid() {
-				ctx = withRoutedKey(ctx, k)
-			}
-		}
 		var tr *reqtrace.Trace
 		if r.Method == http.MethodPost {
 			ctx, tr = s.opt.Tracer.StartRequest(ctx, r.Method+" "+r.URL.Path,

@@ -60,7 +60,7 @@ func TestMetricsStatsParity(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", smallEvaluate, nil) // miss
-	doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", smallEvaluate, nil) // hit
+	doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", smallEvaluate, nil) // hit (by body digest)
 	doJSON(t, http.MethodPost, ts.URL+"/v1/sweep", smallSweep, nil)       // miss
 	doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", `{"bad": true}`, nil)
 
@@ -88,10 +88,12 @@ func TestMetricsStatsParity(t *testing.T) {
 		{`ccserved_failures_total`, float64(stats.Failures)},
 		{`ccserved_response_write_errors_total`, float64(stats.WriteErrors)},
 		{`ccserved_cache_hits_total`, float64(stats.Cache.Hits)},
+		{`ccserved_cache_alias_hits_total`, float64(stats.Cache.AliasHits)},
 		{`ccserved_cache_misses_total`, float64(stats.Cache.Misses)},
 		{`ccserved_cache_evictions_total`, float64(stats.Cache.Evictions)},
 		{`ccserved_cache_expirations_total`, float64(stats.Cache.Expirations)},
 		{`ccserved_cache_entries`, float64(stats.Cache.Entries)},
+		{`ccserved_cache_aliases`, float64(stats.Cache.Aliases)},
 		{`ccserved_cache_bytes`, float64(stats.Cache.Bytes)},
 		{`ccserved_worker_pool_size`, float64(stats.Workers)},
 	}
@@ -108,7 +110,7 @@ func TestMetricsStatsParity(t *testing.T) {
 
 	// Sanity on the traffic itself, so the parity above isn't 0 == 0.
 	if stats.Evaluates != 3 || stats.Sweeps != 1 || stats.Computes != 2 ||
-		stats.Cache.Hits != 1 || stats.Failures != 1 {
+		stats.Cache.Hits != 1 || stats.Cache.AliasHits != 1 || stats.Cache.Aliases != 2 || stats.Failures != 1 {
 		t.Errorf("unexpected traffic shape: %+v", stats)
 	}
 }

@@ -1,11 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"time"
 
 	"github.com/ccnet/ccnet/internal/canon"
 	"github.com/ccnet/ccnet/internal/optimize"
@@ -32,90 +32,34 @@ func optimizeKey(spec *optimize.SearchSpec) (canon.Key, error) {
 // when this call did not run the search itself. `ccscen optimize
 // -ndjson` and POST /v1/optimize share this path.
 func (s *Server) RunOptimize(ctx context.Context, spec *optimize.SearchSpec, w io.Writer) (*optimize.Report, error) {
-	return s.runOptimize(ctx, spec, w, "")
+	s.optimizes.Add(1)
+	return s.runOptimize(ctx, spec, w, BodyDigest{})
 }
 
-// runOptimize is RunOptimize with an optional pre-computed cache key —
-// the HTTP handler passes the router-forwarded key when the replica
-// trusts its router tier, skipping the canonicalization pass here.
-func (s *Server) runOptimize(ctx context.Context, spec *optimize.SearchSpec, w io.Writer, forced canon.Key) (*optimize.Report, error) {
-	s.optimizes.Add(1)
-	st, done := s.newStream(ctx, "optimize", w)
-	defer done()
-
-	tr := reqtrace.FromContext(ctx)
-	key := forced
-	if key == "" {
-		sp := tr.StartSpan("canon")
-		var err error
-		key, err = optimizeKey(spec)
-		sp.EndErr(err)
-		if err != nil {
-			s.failures.Add(1)
-			return nil, err
-		}
-	}
-	cs := tr.StartSpan("cache")
-	if payload, ok := s.cache.Get(key); ok {
-		cs.Attr(reqtrace.String("class", classHit)).End()
-		setHitClass(w, classHit)
-		return nil, st.emitResult(true, key, payload)
-	}
-	cs.End()
-
-	// Concurrent identical specs coalesce onto one search through the
-	// same singleflight group the other endpoints use: the winning
-	// caller runs the engine (and owns the progress stream); later
-	// arrivals block without progress lines and share the result. If
-	// the winner disconnects mid-search its context aborts the shared
-	// computation — the sharers get the error frame and may retry
-	// against a now-warm cache.
+// runOptimize is RunOptimize with the body digest to alias. Concurrent
+// identical specs coalesce onto one search: the winning caller runs the
+// engine (and owns the progress stream); later arrivals block without
+// progress lines and share the result. If the winner disconnects
+// mid-search its context aborts the shared computation — the sharers
+// get the error frame and may retry against a now-warm cache.
+func (s *Server) runOptimize(ctx context.Context, spec *optimize.SearchSpec, w io.Writer, digest BodyDigest) (*optimize.Report, error) {
 	var rep *optimize.Report
-	flightStart := time.Now()
-	payload, err, shared := s.flight.Do(string(key), func() ([]byte, error) {
-		s.computes.Add(1)
-		sp := tr.StartSpan("compute")
-		defer sp.End()
-		var progressErr error
-		eng := &optimize.Engine{
-			Workers: s.workers(),
-			Progress: func(p optimize.Progress) {
-				if progressErr != nil {
-					return
-				}
-				// Client gone; keep computing for the sharers.
-				progressErr = st.emit(OptimizeProgressLine{Kind: FrameProgress, Progress: p})
-			},
-		}
-		r, err := eng.Run(ctx, spec)
-		if err != nil {
-			sp.EndErr(err)
-			return nil, err
-		}
-		b, err := json.Marshal(r)
-		if err != nil {
-			return nil, err
-		}
-		rep = r
-		s.cache.Put(key, b)
-		return b, nil
-	})
-	if shared {
-		s.coalesced.Add(1)
-		tr.RecordSpan("wait", flightStart, time.Since(flightStart)).
-			Attr(reqtrace.String("class", classCoalesced))
-		setHitClass(w, classCoalesced)
-	} else {
-		setHitClass(w, classMiss)
-	}
-	if err != nil {
-		s.failures.Add(1)
-		tr.SetError(err.Error())
-		// Streaming has begun; report the failure in-band.
-		st.emitError(err)
-		return nil, err
-	}
-	return rep, st.emitResult(shared, key, payload)
+	err := s.runStream(ctx, "optimize", w, digest,
+		func() (canon.Key, error) { return optimizeKey(spec) },
+		func(emit func(any)) ([]byte, error) {
+			eng := &optimize.Engine{
+				Workers:  s.workers(),
+				Progress: func(p optimize.Progress) { emit(OptimizeProgressLine{Kind: FrameProgress, Progress: p}) },
+			}
+			r, err := eng.Run(ctx, spec)
+			if err != nil {
+				return nil, err
+			}
+			b, err := json.Marshal(r)
+			rep = r
+			return b, err
+		})
+	return rep, err
 }
 
 // handleOptimize serves POST /v1/optimize: the spec is decoded and
@@ -124,15 +68,18 @@ func (s *Server) runOptimize(ctx context.Context, spec *optimize.SearchSpec, w i
 // result frame, exactly the RunOptimize format. A client that
 // disconnects cancels the search via the request context.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	s.optimizes.Add(1)
+	body, digest, answered := s.answerRepeat(w, r, "optimize")
+	if answered {
+		return
+	}
 	sp := reqtrace.FromContext(r.Context()).StartSpan("decode")
-	spec, err := optimize.Parse(r.Body, "request")
+	spec, err := optimize.Parse(bytes.NewReader(body), "request")
 	sp.EndErr(err)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, badRequest(err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	_, _ = s.runOptimize(r.Context(), spec, w, routedKeyFrom(r.Context()))
+	startStream(w)
+	_, _ = s.runOptimize(r.Context(), spec, w, digest)
 }

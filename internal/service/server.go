@@ -1,14 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -41,10 +45,6 @@ type Options struct {
 	// echoed in /v1/healthz, /v1/version and the X-Shard response
 	// header so a routed answer is attributable to its shard.
 	ShardID string
-	// TrustRouterKeys makes the server honor the X-Ccnet-Key header as
-	// the canonical cache key, skipping its own canonicalization pass.
-	// Enable only behind a trusted router tier (see RoutedKeyHeader).
-	TrustRouterKeys bool
 	// Log, when set, receives one structured line per failed request
 	// (status, code, request and trace IDs). ccserved builds it with
 	// reqtrace.NewLogger.
@@ -267,7 +267,9 @@ type CampaignResult struct {
 
 // Envelope wraps every compute response: the canonical cache key, whether
 // the result came from the cache (or coalesced onto a concurrent
-// identical request), and the endpoint-specific result.
+// identical request), and the endpoint-specific result. The key is the
+// same whether or not a router fronts the replica. The server writes
+// this shape with appendResult rather than encoding the struct.
 type Envelope struct {
 	Cached bool            `json:"cached"`
 	Key    string          `json:"key"`
@@ -364,20 +366,23 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	s.evaluates.Add(1)
+	body, digest, answered := s.answerRepeat(w, r, "evaluate")
+	if answered {
+		return
+	}
 	var req EvaluateRequest
-	if err := s.decodeTraced(w, r, &req); err != nil {
+	if err := decodeTraced(r.Context(), body, &req); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	payload, key, class, err := s.evaluate(r.Context(), &req, routedKeyFrom(r.Context()))
-	s.finish(w, r, key, payload, class, err)
+	payload, key, class, err := s.evaluate(r.Context(), &req)
+	s.finish(w, r, digest, key, payload, class, err)
 }
 
 // evaluate validates and computes one evaluate request through the
 // cache; the HTTP handler and the batch executor share it. Errors caused
-// by the request are badRequest-tagged. A non-empty forced key (the
-// router's precomputed canonical key) replaces the local hash pass.
-func (s *Server) evaluate(ctx context.Context, req *EvaluateRequest, forced canon.Key) (payload []byte, key canon.Key, class string, err error) {
+// by the request are badRequest-tagged.
+func (s *Server) evaluate(ctx context.Context, req *EvaluateRequest) (payload []byte, key canon.Key, class string, err error) {
 	var errs []error
 	if err := req.System.Validate(); err != nil {
 		errs = append(errs, err)
@@ -399,13 +404,11 @@ func (s *Server) evaluate(ctx context.Context, req *EvaluateRequest, forced cano
 
 	msg := netchar.MessageSpec{Flits: req.Message.Flits, FlitBytes: req.Message.FlitBytes}
 	opt := req.Model.Options(req.StoreAndForward)
-	if key = forced; key == "" {
-		sp := reqtrace.FromContext(ctx).StartSpan("canon")
-		key, err = canon.Hash("evaluate", hashableSystem(sys), msg, opt, req.Lambda)
-		sp.EndErr(err)
-		if err != nil {
-			return nil, "", "", err
-		}
+	sp := reqtrace.FromContext(ctx).StartSpan("canon")
+	key, err = canon.Hash("evaluate", hashableSystem(sys), msg, opt, req.Lambda)
+	sp.EndErr(err)
+	if err != nil {
+		return nil, "", "", err
 	}
 
 	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
@@ -421,19 +424,22 @@ func (s *Server) evaluate(ctx context.Context, req *EvaluateRequest, forced cano
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweeps.Add(1)
+	body, digest, answered := s.answerRepeat(w, r, "sweep")
+	if answered {
+		return
+	}
 	var req SweepRequest
-	if err := s.decodeTraced(w, r, &req); err != nil {
+	if err := decodeTraced(r.Context(), body, &req); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	payload, key, class, err := s.sweep(r.Context(), &req, routedKeyFrom(r.Context()))
-	s.finish(w, r, key, payload, class, err)
+	payload, key, class, err := s.sweep(r.Context(), &req)
+	s.finish(w, r, digest, key, payload, class, err)
 }
 
 // sweep validates and computes one sweep request through the cache; the
-// HTTP handler and the batch executor share it. A non-empty forced key
-// (the router's precomputed canonical key) replaces the local hash pass.
-func (s *Server) sweep(ctx context.Context, req *SweepRequest, forced canon.Key) (payload []byte, key canon.Key, class string, err error) {
+// HTTP handler and the batch executor share it.
+func (s *Server) sweep(ctx context.Context, req *SweepRequest) (payload []byte, key canon.Key, class string, err error) {
 	var errs []error
 	if err := req.System.Validate(); err != nil {
 		errs = append(errs, err)
@@ -480,21 +486,19 @@ func (s *Server) sweep(ctx context.Context, req *SweepRequest, forced canon.Key)
 			return nil, "", "", badRequest(err)
 		}
 	}
-	if key = forced; key == "" {
-		sp := reqtrace.FromContext(ctx).StartSpan("canon")
-		if req.Lambda.Auto {
-			la := req.Lambda
-			if la.AutoFraction == 0 {
-				la.AutoFraction = 0.95 // the documented default; hash it resolved
-			}
-			key, err = canon.Hash("sweep-auto", hashableSystem(sys), msg, opt, la)
-		} else {
-			key, err = canon.Hash("sweep", hashableSystem(sys), msg, opt, grid)
+	sp := reqtrace.FromContext(ctx).StartSpan("canon")
+	if req.Lambda.Auto {
+		la := req.Lambda
+		if la.AutoFraction == 0 {
+			la.AutoFraction = 0.95 // the documented default; hash it resolved
 		}
-		sp.EndErr(err)
-		if err != nil {
-			return nil, "", "", err
-		}
+		key, err = canon.Hash("sweep-auto", hashableSystem(sys), msg, opt, la)
+	} else {
+		key, err = canon.Hash("sweep", hashableSystem(sys), msg, opt, grid)
+	}
+	sp.EndErr(err)
+	if err != nil {
+		return nil, "", "", err
 	}
 
 	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
@@ -533,35 +537,22 @@ func (s *Server) sweep(ctx context.Context, req *SweepRequest, forced canon.Key)
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	s.campaigns.Add(1)
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	sp := reqtrace.FromContext(r.Context()).StartSpan("decode")
-	spec, err := scenario.Parse(r.Body, "request")
-	sp.EndErr(err)
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, badRequest(err))
+	spec, digest, answered := s.parseScenario(w, r, "campaign")
+	if answered {
 		return
 	}
-	payload, key, class, err := s.campaign(r.Context(), spec, routedKeyFrom(r.Context()))
-	s.finish(w, r, key, payload, class, err)
+	payload, key, class, err := s.campaign(r.Context(), spec)
+	s.finish(w, r, digest, key, payload, class, err)
 }
 
 // campaign computes one parsed scenario through the cache; the HTTP
-// handler and the batch executor share it. A non-empty forced key (the
-// router's precomputed canonical key) replaces the local hash pass.
-func (s *Server) campaign(ctx context.Context, spec *scenario.Spec, forced canon.Key) (payload []byte, key canon.Key, class string, err error) {
-	if key = forced; key == "" {
-		// Normalize the one default the runner applies itself, so "seed
-		// omitted" and "seed: 1" share a cache entry.
-		norm := *spec
-		if norm.Seed == 0 {
-			norm.Seed = 1
-		}
-		sp := reqtrace.FromContext(ctx).StartSpan("canon")
-		key, err = canon.Hash("campaign", norm)
-		sp.EndErr(err)
-		if err != nil {
-			return nil, "", "", err
-		}
+// handler and the batch executor share it.
+func (s *Server) campaign(ctx context.Context, spec *scenario.Spec) (payload []byte, key canon.Key, class string, err error) {
+	sp := reqtrace.FromContext(ctx).StartSpan("canon")
+	key, err = specKey("campaign", spec)
+	sp.EndErr(err)
+	if err != nil {
+		return nil, "", "", err
 	}
 
 	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
@@ -600,6 +591,17 @@ func (s *Server) campaign(ctx context.Context, spec *scenario.Spec, forced canon
 	return payload, key, class, err
 }
 
+// specKey hashes a scenario spec (campaign, performability or fleetsim)
+// for endpoint with the one default the runners apply themselves
+// resolved, so "seed omitted" and "seed": 1 share a cache entry.
+func specKey(endpoint string, spec *scenario.Spec) (canon.Key, error) {
+	norm := *spec
+	if norm.Seed == 0 {
+		norm.Seed = 1
+	}
+	return canon.Hash(endpoint, norm)
+}
+
 // --- plumbing --------------------------------------------------------------
 
 func (s *Server) workers() int {
@@ -620,10 +622,10 @@ func (s *Server) do(ctx context.Context, key canon.Key, compute func() ([]byte, 
 	tr := reqtrace.FromContext(ctx)
 	cs := tr.StartSpan("cache")
 	if v, ok := s.cache.Get(key); ok {
-		cs.Attr(reqtrace.String("class", classHit)).End()
+		cs.Attr(hitAttr, viaKey).End()
 		return v, classHit, nil
 	}
-	cs.End()
+	cs.Attr(viaKey).End()
 	flightStart := time.Now()
 	v, err, shared := s.flight.Do(string(key), func() ([]byte, error) {
 		s.computes.Add(1)
@@ -644,21 +646,99 @@ func (s *Server) do(ctx context.Context, key canon.Key, compute func() ([]byte, 
 	return v, classMiss, err
 }
 
+// Attributes of the "cache" span: how the entry was looked up (by body
+// digest before decoding, or by canonical key after it), and class=hit
+// when the lookup answered.
+var (
+	hitAttr = reqtrace.String("class", classHit)
+	viaBody = reqtrace.String("via", "body")
+	viaKey  = reqtrace.String("via", "key")
+)
+
+// answerRepeat is the first step of every keyed single-spec endpoint: it
+// reads the body once and looks its BodyDigest up in the result cache
+// before anything is decoded. An exact repeat of an answered body gets
+// the same response a cache hit on its canonical key gets — the
+// envelope, or the single NDJSON result frame — and answered is true,
+// as it is when the body cannot be read (a 400). Otherwise the caller
+// decodes body and hands digest to finish or runStream, which alias it
+// to the entry once the request has succeeded.
+func (s *Server) answerRepeat(w http.ResponseWriter, r *http.Request, endpoint string) (body []byte, digest BodyDigest, answered bool) {
+	cs := reqtrace.FromContext(r.Context()).StartSpan("cache")
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		cs.EndErr(err)
+		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+		return nil, digest, true
+	}
+	digest = digestBody(endpoint, body)
+	key, payload, ok := s.cache.GetAlias(digest)
+	if !ok {
+		cs.Attr(viaBody).End()
+		return body, digest, false
+	}
+	cs.Attr(hitAttr, viaBody).End()
+	switch endpoint {
+	case "evaluate", "sweep", "campaign":
+		s.finish(w, r, BodyDigest{}, key, payload, classHit, nil)
+	default:
+		startStream(w)
+		st, done := s.newStream(r.Context(), endpoint, w)
+		defer done()
+		setHitClass(w, classHit)
+		_ = st.emitResult(true, key, payload)
+	}
+	return nil, digest, true
+}
+
 // cachedClass reports whether class avoided its own computation (the
 // Envelope.Cached field and the batch Outcome.Cached field).
 func cachedClass(class string) bool { return class == classHit || class == classCoalesced }
 
 // finish writes the enveloped payload, or maps the compute error to its
-// status code. The X-Cache header carries the hit class verbatim
-// ("hit", "coalesced" or "miss"); the instrumentation middleware reads
-// it back for the histogram label.
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, key canon.Key, payload []byte, class string, err error) {
+// status code. A successful answer aliases digest to the entry under
+// key. The X-Cache header carries the hit class verbatim ("hit",
+// "coalesced" or "miss"); the instrumentation middleware reads it back
+// for the histogram label.
+func (s *Server) finish(w http.ResponseWriter, r *http.Request, digest BodyDigest, key canon.Key, payload []byte, class string, err error) {
 	if err != nil {
 		s.fail(w, r, statusFor(err), err)
 		return
 	}
+	s.cache.AddAlias(digest, key)
 	w.Header().Set("X-Cache", class)
-	s.writeJSON(w, http.StatusOK, Envelope{Cached: cachedClass(class), Key: string(key), Result: payload})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(appendResult(nil, false, cachedClass(class), key, payload)); err != nil {
+		s.writeErrors.Add(1)
+	}
+}
+
+// appendResult appends the JSON line json.Encoder writes for an Envelope
+// (frame false) or a result-kind ResultLine (frame true) around payload,
+// without re-scanning it: payload is json.Marshal output, already
+// compact and HTML-escaped, and a canonical key needs no escaping. An
+// empty key is omitted, as ResultLine's omitempty does; envelopes always
+// carry one.
+func appendResult(dst []byte, frame, cached bool, key canon.Key, payload []byte) []byte {
+	dst = slices.Grow(dst, len(payload)+len(key)+64)
+	if frame {
+		dst = append(dst, `{"kind":"`+FrameResult+`","cached":`...)
+	} else {
+		dst = append(dst, `{"cached":`...)
+	}
+	dst = strconv.AppendBool(dst, cached)
+	if key != "" {
+		dst = append(dst, `,"key":"`...)
+		dst = append(dst, key...)
+		dst = append(dst, '"')
+	}
+	dst = append(dst, `,"result":`...)
+	if len(payload) == 0 {
+		dst = append(dst, "null"...)
+	}
+	dst = append(dst, payload...)
+	return append(dst, "}\n"...)
 }
 
 // fail answers a request with the typed APIError envelope — the only
@@ -695,28 +775,46 @@ func (e *badRequestError) Unwrap() error { return e.err }
 
 func badRequest(err error) error { return &badRequestError{err: err} }
 
-// decodeTraced is decodeJSON with the "decode" stage span on the
-// request's trace (body read + parse, the first stage of every JSON
-// compute endpoint).
-func (s *Server) decodeTraced(w http.ResponseWriter, r *http.Request, dst any) error {
-	sp := reqtrace.FromContext(r.Context()).StartSpan("decode")
-	err := decodeJSON(w, r, dst)
+// decodeTraced is decodeStrict with the "decode" stage span on the
+// request's trace (the parse of an evaluate or sweep body).
+func decodeTraced(ctx context.Context, body []byte, dst any) error {
+	sp := reqtrace.FromContext(ctx).StartSpan("decode")
+	err := decodeStrict(body, dst, "request")
 	sp.EndErr(err)
 	return err
 }
 
-// decodeJSON decodes a single JSON document into dst, rejecting unknown
-// fields and trailing data, with decode errors rewritten into the
-// scenario loader's field-path language.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+// parseScenario is the first step of the scenario-spec endpoints
+// (campaign, performability, fleetsim): answerRepeat, then the traced
+// parse of a body it did not answer. A parse failure is answered with
+// a 400.
+func (s *Server) parseScenario(w http.ResponseWriter, r *http.Request, endpoint string) (spec *scenario.Spec, digest BodyDigest, answered bool) {
+	body, digest, answered := s.answerRepeat(w, r, endpoint)
+	if answered {
+		return nil, digest, true
+	}
+	sp := reqtrace.FromContext(r.Context()).StartSpan("decode")
+	spec, err := scenario.Parse(bytes.NewReader(body), "request")
+	sp.EndErr(err)
+	if err != nil {
+		s.fail(w, r, http.StatusBadRequest, badRequest(err))
+		return nil, digest, true
+	}
+	return spec, digest, false
+}
+
+// decodeStrict decodes a single JSON document (a request body or a
+// batch item's spec) into dst, rejecting unknown fields and trailing
+// data, with decode errors rewritten into the scenario loader's
+// field-path language.
+func decodeStrict(data []byte, dst any, doc string) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return scenario.DecodeError(err)
 	}
 	if dec.More() {
-		return errors.New("trailing data after the request object")
+		return fmt.Errorf("trailing data after the %s object", doc)
 	}
 	return nil
 }

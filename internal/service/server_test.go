@@ -92,7 +92,7 @@ func TestEvaluateComputesAndCaches(t *testing.T) {
 	if env.Cached {
 		t.Error("first request reported cached")
 	}
-	if !strings.HasPrefix(env.Key, "v1:") {
+	if !strings.HasPrefix(env.Key, "v2:") {
 		t.Errorf("key %q missing canon scheme", env.Key)
 	}
 	var res EvaluateResult

@@ -11,6 +11,7 @@ import (
 	"github.com/ccnet/ccnet/internal/metrics"
 	"github.com/ccnet/ccnet/internal/optimize"
 	"github.com/ccnet/ccnet/internal/perfab"
+	"github.com/ccnet/ccnet/internal/reqtrace"
 )
 
 // Every streaming endpoint (batch, optimize, performability, fleetsim)
@@ -29,7 +30,8 @@ const (
 // the canonical cache key (empty for batch, whose summary is not a
 // cacheable result), whether the result came from the cache, and the
 // endpoint's result document (optimize report, performability report,
-// fleetsim report, or batch summary).
+// fleetsim report, or batch summary). The server writes this shape with
+// appendResult rather than encoding the struct.
 type ResultLine struct {
 	Kind   string          `json:"kind"` // always "result"
 	Cached bool            `json:"cached"`
@@ -87,6 +89,7 @@ type BatchItemLine struct {
 // and the request ID for error frames.
 type stream struct {
 	srv     *Server
+	w       io.Writer
 	enc     *json.Encoder
 	flusher http.Flusher
 	lines   *metrics.Counter
@@ -101,6 +104,7 @@ func (s *Server) newStream(ctx context.Context, endpoint string, w io.Writer) (*
 	flusher, _ := w.(http.Flusher)
 	return &stream{
 		srv:     s,
+		w:       w,
 		enc:     json.NewEncoder(w),
 		flusher: flusher,
 		lines:   s.m.streamLines.With(endpoint),
@@ -112,7 +116,20 @@ func (s *Server) newStream(ctx context.Context, endpoint string, w io.Writer) (*
 // failure means the client hung up: it is counted in writeErrors and
 // returned so the caller can stop streaming.
 func (st *stream) emit(line any) error {
-	if err := st.enc.Encode(line); err != nil {
+	return st.sent(st.enc.Encode(line))
+}
+
+// emitResult writes the terminal success frame, its bytes assembled
+// around the stored payload by appendResult.
+func (st *stream) emitResult(cached bool, key canon.Key, payload []byte) error {
+	_, err := st.w.Write(appendResult(nil, true, cached, key, payload))
+	return st.sent(err)
+}
+
+// sent accounts for one written line: counted and flushed, or a write
+// error counted and returned.
+func (st *stream) sent(err error) error {
+	if err != nil {
 		st.srv.writeErrors.Add(1)
 		return err
 	}
@@ -123,13 +140,53 @@ func (st *stream) emit(line any) error {
 	return nil
 }
 
-// emitResult writes the terminal success frame.
-func (st *stream) emitResult(cached bool, key canon.Key, payload []byte) error {
-	return st.emit(ResultLine{Kind: FrameResult, Cached: cached, Key: string(key), Result: payload})
-}
-
 // emitError writes the terminal in-band error frame. Encode errors here
 // mean the client is gone — nothing left to tell it.
 func (st *stream) emitError(err error) {
 	_ = st.emit(ErrorLine{Kind: FrameError, Error: apiErrorFor(statusFor(err), st.reqID, err)})
+}
+
+// startStream commits a streaming endpoint's 200 and NDJSON content
+// type, once the request has passed every check that can still answer
+// with a status code.
+func startStream(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+}
+
+// runStream answers one optimize, performability or fleetsim request
+// through the cache under key: a cached or coalesced answer is the
+// single terminal result frame, while the caller that computes streams
+// the progress frames compute emits first. A failure becomes the
+// terminal error frame. On success digest (zero when there is no
+// request body) is aliased to the entry under key.
+func (s *Server) runStream(ctx context.Context, endpoint string, w io.Writer, digest BodyDigest,
+	keyOf func() (canon.Key, error), compute func(emit func(line any)) ([]byte, error)) error {
+	st, done := s.newStream(ctx, endpoint, w)
+	defer done()
+	tr := reqtrace.FromContext(ctx)
+	sp := tr.StartSpan("canon")
+	key, err := keyOf()
+	sp.EndErr(err)
+	var payload []byte
+	var class string
+	if err == nil {
+		payload, class, err = s.do(ctx, key, func() ([]byte, error) {
+			var emitErr error
+			return compute(func(line any) {
+				if emitErr == nil { // after a failed write the client is gone; keep computing for the sharers
+					emitErr = st.emit(line)
+				}
+			})
+		})
+		setHitClass(w, class)
+	}
+	if err != nil {
+		s.failures.Add(1)
+		tr.SetError(err.Error())
+		st.emitError(err) // streaming has begun: report the failure in-band
+		return err
+	}
+	s.cache.AddAlias(digest, key)
+	return st.emitResult(cachedClass(class), key, payload)
 }
