@@ -200,14 +200,32 @@ func BenchmarkModelSaturation1120(b *testing.B) {
 	}
 }
 
+// BenchmarkModelSaturation544 measures the bisection search on the
+// N=544 system, whose pair classes carry 36–75 crossing-length cells
+// each: the shape of the optimizer's saturation objective.
+func BenchmarkModelSaturation544(b *testing.B) {
+	m, err := core.New(cluster.System544(), netchar.MessageSpec{Flits: 32, FlitBytes: 256}, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.SaturationPoint(1, 1e-4) <= 0 {
+			b.Fatal("no saturation point")
+		}
+	}
+}
+
 // BenchmarkSimulator544 measures simulator throughput (events/s) on the
-// N=544 system at moderate load.
+// N=544 system at moderate load. Every iteration runs the same seed, so
+// the work per operation (events/run) does not depend on b.N.
 func BenchmarkSimulator544(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		m, err := sim.Run(sim.Config{
 			Sys: cluster.System544(), Msg: netchar.MessageSpec{Flits: 32, FlitBytes: 256},
-			Lambda: 3e-4, Seed: uint64(i), WarmupCount: 500, MeasureCount: 5000,
+			Lambda: 3e-4, Seed: 1, WarmupCount: 500, MeasureCount: 5000,
 		})
 		if err != nil {
 			b.Fatal(err)

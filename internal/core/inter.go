@@ -27,22 +27,17 @@ func (p *PairResult) LEx() float64 { return p.WEx + p.TEx + p.EEx + p.SF }
 // Total returns the pair latency including both gateway queue waits.
 func (p *PairResult) Total() float64 { return p.LEx() + 2*p.WC }
 
-// pairCell is one (r, v, l) crossing-length combination of the merged
-// ECN1(i)→ICN2→ECN1(j) unit: its probability and the stage-chain shape
-// of Eqs 26–30. Cells are λ-independent and precomputed in New.
-type pairCell struct {
-	p      float64 // pr·pv·pl
-	k      int     // stage count K = r+2l+v−1
-	lo, hi int     // ICN2 segment bounds: stages [lo,hi) run on the ICN2
-}
-
 // pairClass caches everything about an ordered class pair that does not
 // depend on λ: the crossing-length cells, the Eq 33/34 tail sum, the
 // per-channel rate coefficients of Eqs 22–25 (rates are linear in λ),
 // Eq 28's relaxing factor, and the service-time constants.
 type pairClass struct {
-	cells  []pairCell
-	nr, nv int     // crossing-length ranges: cells is (r, v, l) lexicographic
+	// cells[i] is the probability pr·pv·pl of the i-th (r, v, l)
+	// crossing-length combination of the merged ECN1(i)→ICN2→ECN1(j)
+	// unit, in (r, v, l) lexicographic order; nil when the ordered pair
+	// cannot occur.
+	cells  []float64
+	nr, nv int     // crossing-length ranges
 	eex    float64 // Eq 33/34 tail sum (λ-independent)
 	sf     float64 // gateway serialization term (0 unless S&F)
 
@@ -103,7 +98,7 @@ func (m *Model) buildPairClass(i, j int) pairClass {
 	pc := pairClass{
 		nr:       src.n,
 		nv:       dst.n,
-		cells:    make([]pairCell, 0, src.n*dst.n*m.nc),
+		cells:    make([]float64, 0, src.n*dst.n*m.nc),
 		tcsE1Src: src.tcsE1,
 		tcsE1Dst: dst.tcsE1,
 		tcnE1Src: src.tcnE1,
@@ -150,8 +145,8 @@ func (m *Model) buildPairClass(i, j int) pairClass {
 		pc.sf = M * (m.tcsI2 + dst.tcsE1)
 	}
 
-	// Eqs 20–21, 26–30 shapes and the Eq 33/34 tail sum over the
-	// (r, v, l) crossing-length distribution.
+	// Eq 21's crossing-length distribution and the Eq 33/34 tail sum
+	// over it.
 	for r := 1; r <= src.n; r++ {
 		pr := src.p[r-1]
 		rLinks := r
@@ -166,12 +161,7 @@ func (m *Model) buildPairClass(i, j int) pairClass {
 			}
 			for l := 1; l <= m.nc; l++ {
 				p := pr * pv * m.pI2[l-1]
-				pc.cells = append(pc.cells, pairCell{
-					p:  p,
-					k:  rLinks + 2*l + vLinks - 1, // K = r+2l+v−1
-					lo: rLinks,
-					hi: rLinks + 2*l - 1,
-				})
+				pc.cells = append(pc.cells, p)
 				// Eq 34: tail time across the three networks.
 				pc.eex += p * (float64(rLinks-1)*src.tcsE1 +
 					float64(vLinks-1)*dst.tcsE1 +
@@ -182,9 +172,15 @@ func (m *Model) buildPairClass(i, j int) pairClass {
 	return pc
 }
 
-// maxFastCells bounds the stack buffer of cellLatencies; larger cell
-// sets fall back to per-cell stageChain3.
-const maxFastCells = 32
+// cellBufLen sizes cellBuf. It covers every pair class of the paper's
+// systems (N=544 peaks at 5·5·3 = 75 cells); a larger class takes a heap
+// buffer of its own size and the same arithmetic.
+const cellBufLen = 128
+
+// cellBuf is the scratch cellLatencies fills. Evaluate and each run of
+// saturation probes hold one on the stack for every pair class they
+// visit, so it is zeroed once per call rather than once per pair.
+type cellBuf [cellBufLen]float64
 
 // cellLatencies fills ts[i] with cell i's merged-unit latency — the
 // value stageChain3 returns for that cell, computed with the shared
@@ -228,6 +224,22 @@ func (m *Model) cellLatencies(pc *pairClass, etaSrc, etaI2, etaDst float64, ts [
 	}
 }
 
+// crossingLatency returns Eqs 20–21, 26–30: the merged-unit latency
+// averaged over pc's (r, v, l) crossing-length cells, summed in cell
+// order, with buf as the cell scratch.
+func (m *Model) crossingLatency(pc *pairClass, etaSrc, etaI2, etaDst float64, buf *cellBuf) float64 {
+	ts := buf[:]
+	if len(pc.cells) > len(ts) {
+		ts = make([]float64, len(pc.cells))
+	}
+	m.cellLatencies(pc, etaSrc, etaI2, etaDst, ts)
+	var tEx float64
+	for i, p := range pc.cells {
+		tEx += p * ts[i]
+	}
+	return tEx
+}
+
 // PairLatency evaluates the inter-cluster latency of the ordered pair
 // (i → j) at rate lambdaG — the analytical counterpart of the trace
 // summary's per-pair statistics. It panics on out-of-range or equal
@@ -240,15 +252,17 @@ func (m *Model) PairLatency(lambdaG float64, i, j int) *PairResult {
 		panic(fmt.Sprintf("core: invalid traffic rate %v", lambdaG))
 	}
 	res := &PairResult{}
-	m.pairLatency(lambdaG, m.classOf[i]*m.nClasses+m.classOf[j], res)
+	var buf cellBuf
+	m.pairLatency(lambdaG, m.classOf[i]*m.nClasses+m.classOf[j], res, &buf)
 	res.Src, res.Dst = i, j
 	return res
 }
 
 // pairLatency computes the Eqs 20–37 terms for one ordered class pair
-// into res (Src/Dst are left for the caller). The per-λ work is pure
-// arithmetic over the precomputed pairClass tables.
-func (m *Model) pairLatency(lambdaG float64, classPair int, res *PairResult) {
+// into res (Src/Dst are left for the caller), with buf as the cell
+// scratch. The per-λ work is pure arithmetic over the precomputed
+// pairClass tables.
+func (m *Model) pairLatency(lambdaG float64, classPair int, res *PairResult, buf *cellBuf) {
 	pc := &m.pairs[classPair]
 	M := float64(m.Msg.Flits)
 
@@ -257,22 +271,7 @@ func (m *Model) pairLatency(lambdaG float64, classPair int, res *PairResult) {
 	etaI2 := lambdaG * pc.etaI2Cof // Eq 28's relaxing factor folded in
 
 	*res = PairResult{EEx: pc.eex, SF: pc.sf}
-
-	// Eqs 20–21, 26–30: average the merged-unit latency over the
-	// (r, v, l) crossing-length distribution.
-	if len(pc.cells) <= maxFastCells {
-		var ts [maxFastCells]float64
-		m.cellLatencies(pc, etaSrc, etaI2, etaDst, ts[:])
-		for i, c := range pc.cells {
-			res.TEx += c.p * ts[i]
-		}
-	} else {
-		for _, c := range pc.cells {
-			t := stageChain3(c.k, c.lo, c.hi, M, pc.tcnE1Dst,
-				pc.tcsE1Src, m.tcsI2, pc.tcsE1Dst, etaSrc, etaI2, etaDst)
-			res.TEx += c.p * t
-		}
-	}
+	res.TEx = m.crossingLatency(pc, etaSrc, etaI2, etaDst, buf)
 
 	// Eq 31: source queue of the inter-cluster branch.
 	sigma := res.TEx - M*pc.tcnE1Src
@@ -293,10 +292,12 @@ func (m *Model) pairLatency(lambdaG float64, classPair int, res *PairResult) {
 }
 
 // pairScratch holds one λ's class-pair evaluations so every (i,j) with
-// the same classes shares one computation.
+// the same classes shares one computation, and the cell scratch those
+// evaluations share.
 type pairScratch struct {
-	res  []PairResult
-	done []bool
+	res   []PairResult
+	done  []bool
+	cells cellBuf
 }
 
 func newPairScratch(nClasses int) *pairScratch {
@@ -328,7 +329,7 @@ func (m *Model) interCluster(lambdaG float64, i int, cr *ClusterResult, scratch 
 		cp := base + m.classOf[j]
 		pr := &scratch.res[cp]
 		if !scratch.done[cp] {
-			m.pairLatency(lambdaG, cp, pr)
+			m.pairLatency(lambdaG, cp, pr, &scratch.cells)
 			scratch.done[cp] = true
 		}
 		if pr.Saturated {

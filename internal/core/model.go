@@ -439,7 +439,10 @@ func stageChainUniform(k int, flits, lastService, service, eta float64) float64 
 // stageChain3 is stageChain specialized to the inter-cluster merged unit
 // (Eqs 26–29): stages [0,lo) run on the source ECN1, [lo,hi) on the
 // ICN2 (eta already includes Eq 28's relaxing factor), and [hi,k−1) on
-// the destination ECN1. Identical arithmetic to the closure form.
+// the destination ECN1. Identical arithmetic to the closure form. It
+// evaluates one cell on its own; the model takes every cell from
+// cellLatencies' shared prefixes instead, and the property tests hold
+// those to this reference bit for bit.
 func stageChain3(k, lo, hi int, flits, lastService float64,
 	svcA, svcB, svcC, etaA, etaB, etaC float64) float64 {
 	etaLast := etaC

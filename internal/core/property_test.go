@@ -251,3 +251,115 @@ func TestPropertyStageChainSpecializations(t *testing.T) {
 		}
 	}
 }
+
+// randomWideSystem draws a random m=4, n_c=3 system (16 clusters) whose
+// trees reach 5 levels, so an ordered class pair has up to 5·5·3 = 75
+// crossing-length cells; randomSystem stays at or under 18.
+func randomWideSystem(r *rand.Rand) *cluster.System {
+	sys := &cluster.System{Name: "random wide", Ports: 4, ICN2: randomNet(r)}
+	for i := 0; i < 16; i++ {
+		sys.Clusters = append(sys.Clusters, cluster.Config{
+			TreeLevels: 1 + r.Intn(5),
+			ICN1:       randomNet(r),
+			ECN1:       randomNet(r),
+		})
+	}
+	return sys
+}
+
+// tallSystem is an m=4, n_c=6 system (128 clusters of 5 and 6 tree
+// levels): its 6·6·6 = 216-cell pair classes overflow crossingLatency's
+// stack buffer.
+func tallSystem() *cluster.System {
+	sys := &cluster.System{Name: "tall", Ports: 4, ICN2: netchar.Net1}
+	for i := 0; i < 128; i++ {
+		sys.Clusters = append(sys.Clusters, cluster.Config{
+			TreeLevels: 5 + i%2,
+			ICN1:       netchar.Net1,
+			ECN1:       netchar.Net2,
+		})
+	}
+	return sys
+}
+
+// TestPropertyWideCellsMatchStageChain3 covers pair classes far past
+// randomSystem's 18 cells — N=544, random n_c=3 systems with up to 5
+// tree levels, and tallSystem — with calibrated ECN crossings on and
+// off: every cell's shared-prefix latency must equal its standalone
+// stageChain3 bit for bit, and the Saturated probe must agree with
+// Evaluate, at rates on both sides of the saturation point.
+func TestPropertyWideCellsMatchStageChain3(t *testing.T) {
+	rnd := rand.New(rand.NewSource(31))
+	maxCells := 0
+	for _, calibrated := range []bool{false, true} {
+		systems := []*cluster.System{cluster.System544(), tallSystem()}
+		for i := 0; i < 6; i++ {
+			systems = append(systems, randomWideSystem(rnd))
+		}
+		for si, sys := range systems {
+			m, err := New(sys, randomMsg(rnd), Options{CalibratedECNCrossing: calibrated})
+			if err != nil {
+				t.Fatal(err)
+			}
+			M := float64(m.Msg.Flits)
+			sat := m.SaturationPoint(1.0, 1e-4)
+			for _, frac := range [...]float64{0.3, 0.9, 0.999, 1.001, 1.5} {
+				lam := sat * frac
+				for cp := range m.pairs {
+					pc := &m.pairs[cp]
+					if pc.cells == nil {
+						continue
+					}
+					maxCells = max(maxCells, len(pc.cells))
+					etaSrc, etaI2, etaDst := lam*pc.etaSrcCof, lam*pc.etaI2Cof, lam*pc.etaDstCof
+					ts := make([]float64, len(pc.cells))
+					m.cellLatencies(pc, etaSrc, etaI2, etaDst, ts)
+					for i := range pc.cells {
+						// Cell i is (r, v, l) in lexicographic order. Its
+						// chain has K = r+2l+v−1 stages with the ICN2 on
+						// [r, r+2l−1), r and v counted in links.
+						r, v, l := i/(pc.nv*m.nc)+1, i/m.nc%pc.nv+1, i%m.nc+1
+						if calibrated {
+							r, v = 2*r, 2*v
+						}
+						want := stageChain3(r+2*l+v-1, r, r+2*l-1, M, pc.tcnE1Dst,
+							pc.tcsE1Src, m.tcsI2, pc.tcsE1Dst, etaSrc, etaI2, etaDst)
+						if math.Float64bits(ts[i]) != math.Float64bits(want) {
+							t.Fatalf("%s (calibrated %v) pair %d cell %d at λ=%g: %g, stageChain3 %g",
+								sys.Name, calibrated, cp, i, lam, ts[i], want)
+						}
+					}
+				}
+				if got, want := m.Saturated(lam), m.Evaluate(lam).Saturated; got != want {
+					t.Fatalf("system %d (calibrated %v): Saturated(%g) = %v, Evaluate = %v",
+						si, calibrated, lam, got, want)
+				}
+			}
+		}
+	}
+	if maxCells <= cellBufLen {
+		t.Fatalf("largest pair class has %d cells; the stack-buffer overflow is untested", maxCells)
+	}
+}
+
+// TestHotPathAllocations pins the allocation counts the benchmark gate
+// relies on: one Evaluate costs 4 allocations on both paper systems
+// however many cells its pair classes have, and the saturation probe
+// and bisection allocate nothing.
+func TestHotPathAllocations(t *testing.T) {
+	for _, sys := range []*cluster.System{cluster.System1120(), cluster.System544()} {
+		m, err := New(sys, netchar.MessageSpec{Flits: 32, FlitBytes: 256}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(20, func() { m.Evaluate(1e-4) }); a != 4 {
+			t.Errorf("%s: Evaluate allocates %v per call, want 4", sys.Name, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { m.Saturated(1e-4) }); a != 0 {
+			t.Errorf("%s: Saturated allocates %v per call, want 0", sys.Name, a)
+		}
+		if a := testing.AllocsPerRun(5, func() { m.SaturationPoint(1, 1e-4) }); a != 0 {
+			t.Errorf("%s: SaturationPoint allocates %v per call, want 0", sys.Name, a)
+		}
+	}
+}

@@ -17,17 +17,20 @@ import (
 // unstable queue. SaturationPoint's bisection consumes only this bit,
 // which turns its ~16–26 full Evaluate calls into probes.
 func (m *Model) Saturated(lambdaG float64) bool {
-	var h satHint
-	return m.saturated(lambdaG, &h)
+	var p satProbe
+	return m.saturated(lambdaG, &p)
 }
 
-// satHint remembers the queue that decided the previous probe so a
-// bisection recheck can start there. Saturation is a pure disjunction
-// over the queues, so checking one of them first never changes the
-// answer, only how fast the saturated half of a bisection returns.
-type satHint struct {
-	kind int // satHintNone or the queue family of idx
-	idx  int // cluster index (intra) or class-pair index (CD/src)
+// satProbe is what a run of saturation probes shares: the queue that
+// decided the previous probe, so a bisection recheck can start there,
+// and the cell scratch of the pair-class checks. Saturation is a pure
+// disjunction over the queues, so checking one of them first never
+// changes the answer, only how fast the saturated half of a bisection
+// returns.
+type satProbe struct {
+	kind  int // satHintNone or the queue family of idx
+	idx   int // cluster index (intra) or class-pair index (CD/src)
+	cells cellBuf
 }
 
 const (
@@ -37,23 +40,23 @@ const (
 	satHintSrc
 )
 
-// saturated is Saturated with a caller-held probe hint; the hint always
+// saturated is Saturated with caller-held probe state; probe.kind/idx always
 // names the unstable queue on a true return.
-func (m *Model) saturated(lambdaG float64, hint *satHint) bool {
+func (m *Model) saturated(lambdaG float64, probe *satProbe) bool {
 	if lambdaG < 0 || math.IsNaN(lambdaG) {
 		panic(fmt.Sprintf("core: invalid traffic rate %v", lambdaG))
 	}
-	switch hint.kind {
+	switch probe.kind {
 	case satHintIntra:
-		if m.intraSaturated(lambdaG, hint.idx) {
+		if m.intraSaturated(lambdaG, probe.idx) {
 			return true
 		}
 	case satHintCD:
-		if m.pairCDSaturated(lambdaG, hint.idx) {
+		if m.pairCDSaturated(lambdaG, probe.idx) {
 			return true
 		}
 	case satHintSrc:
-		if m.pairSrcSaturated(lambdaG, hint.idx) {
+		if m.pairSrcSaturated(lambdaG, probe.idx, &probe.cells) {
 			return true
 		}
 	}
@@ -61,7 +64,7 @@ func (m *Model) saturated(lambdaG float64, hint *satHint) bool {
 	// Intra branch: one source queue per class (Eqs 13–18).
 	for _, i := range m.classRep {
 		if m.intraSaturated(lambdaG, i) {
-			hint.kind, hint.idx = satHintIntra, i
+			probe.kind, probe.idx = satHintIntra, i
 			return true
 		}
 	}
@@ -80,11 +83,11 @@ func (m *Model) saturated(lambdaG float64, hint *satHint) bool {
 			continue // pair cannot occur
 		}
 		if m.pairCDSaturated(lambdaG, cp) {
-			hint.kind, hint.idx = satHintCD, cp
+			probe.kind, probe.idx = satHintCD, cp
 			return true
 		}
-		if m.pairSrcSaturated(lambdaG, cp) {
-			hint.kind, hint.idx = satHintSrc, cp
+		if m.pairSrcSaturated(lambdaG, cp, &probe.cells) {
+			probe.kind, probe.idx = satHintSrc, cp
 			return true
 		}
 	}
@@ -131,25 +134,10 @@ func (m *Model) pairCDSaturated(lambdaG float64, cp int) bool {
 
 // pairSrcSaturated checks class pair cp's source queue (Eq 31),
 // mirroring pairLatency exactly.
-func (m *Model) pairSrcSaturated(lambdaG float64, cp int) bool {
+func (m *Model) pairSrcSaturated(lambdaG float64, cp int, buf *cellBuf) bool {
 	pc := &m.pairs[cp]
 	M := float64(m.Msg.Flits)
-	etaSrc := lambdaG * pc.etaSrcCof
-	etaDst := lambdaG * pc.etaDstCof
-	etaI2 := lambdaG * pc.etaI2Cof
-	var tEx float64
-	if len(pc.cells) <= maxFastCells {
-		var ts [maxFastCells]float64
-		m.cellLatencies(pc, etaSrc, etaI2, etaDst, ts[:])
-		for i, c := range pc.cells {
-			tEx += c.p * ts[i]
-		}
-	} else {
-		for _, c := range pc.cells {
-			tEx += c.p * stageChain3(c.k, c.lo, c.hi, M, pc.tcnE1Dst,
-				pc.tcsE1Src, m.tcsI2, pc.tcsE1Dst, etaSrc, etaI2, etaDst)
-		}
-	}
+	tEx := m.crossingLatency(pc, lambdaG*pc.etaSrcCof, lambdaG*pc.etaI2Cof, lambdaG*pc.etaDstCof, buf)
 	sigma := tEx - M*pc.tcnE1Src
 	q := queueing.MG1{Lambda: lambdaG * pc.srcCof, MeanService: tEx, VarService: sigma * sigma}
 	_, err := q.Wait()

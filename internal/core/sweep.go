@@ -75,17 +75,17 @@ func (m *Model) SaturationPoint(hi, tol float64) float64 {
 	if hi <= 0 || tol <= 0 {
 		panic(fmt.Sprintf("core: invalid saturation search hi=%v tol=%v", hi, tol))
 	}
-	var hint satHint // carries the binding queue across probes
-	if !m.saturated(hi, &hint) {
+	var probe satProbe // carries the binding queue across probes
+	if !m.saturated(hi, &probe) {
 		return hi
 	}
 	lo := hi * math.Ldexp(1, -60)
-	if m.saturated(lo, &hint) {
+	if m.saturated(lo, &probe) {
 		return 0
 	}
 	for (hi-lo)/hi > tol {
 		mid := (lo + hi) / 2
-		if m.saturated(mid, &hint) {
+		if m.saturated(mid, &probe) {
 			hi = mid
 		} else {
 			lo = mid

@@ -48,7 +48,8 @@ type Config struct {
 
 	// MaxBacklog aborts the run (Saturated result) once this many
 	// messages are simultaneously in flight — an unstable system grows
-	// its queues without bound. Default 25·√MeasureCount… see defaults().
+	// its queues without bound. Default 50000; the figure harness
+	// (experiments.RunOptions) passes its own default of 25000.
 	MaxBacklog int
 
 	// MaxEvents is a hard safety valve on kernel events (default 500M).

@@ -58,8 +58,8 @@ func referenceExits(channels []*Channel, flits int, acquire, avail []float64) []
 
 // TestEngineMatchesReferenceUnderContention drives random contended
 // workloads with mixed buffer depths and verifies every journey's exit
-// schedule against the full-matrix reference, and every channel's
-// bookkeeping against its acquisition count.
+// schedule bit for bit against the full-matrix reference, and every
+// channel's bookkeeping against its acquisition count.
 func TestEngineMatchesReferenceUnderContention(t *testing.T) {
 	f := func(seed uint16) bool {
 		var k des.Kernel
@@ -110,7 +110,7 @@ func TestEngineMatchesReferenceUnderContention(t *testing.T) {
 		for _, d := range finished {
 			want := referenceExits(d.j.Channels, d.j.Flits, d.j.Acquire, d.avail)
 			for j := range want {
-				if math.Abs(want[j]-d.exits[j]) > 1e-9 {
+				if math.Float64bits(want[j]) != math.Float64bits(d.exits[j]) {
 					t.Logf("flit %d: engine %v, reference %v", j, d.exits[j], want[j])
 					return false
 				}

@@ -19,13 +19,25 @@
 //	d(j,k)     = start(j,k) + s_k
 //
 // Channel k is released when the tail crosses it, at d(M−1,k); the message
-// is delivered at d(M−1,L−1). Cells are evaluated eagerly, the moment their
-// dependencies are determined (per-column frontiers), so releases are
-// scheduled exactly when they become causally known — including releases
-// that precede later head acquisitions (short messages, deep buffers). The
-// engine reproduces the defining wormhole behaviours: the pipeline streams
-// at the rate of the slowest held channel, and a blocked head stalls its
-// body flits in place, holding every upstream channel whose buffers cannot
+// is delivered at d(M−1,L−1). A release is scheduled at the acquisition
+// that makes it causally known, which can precede later head acquisitions
+// (short messages, deep buffers). Which cells are known once the head holds
+// channels 0…a−1 has a closed form: row j of column k waits on row
+// j−B_{k+1} of column k+1, and columns a… have no rows yet, so column k
+// has settled
+//
+//	u_{a−1} = min(M, B_a)  (M once a = L),    u_k = min(M, u_{k+1} + B_{k+1})
+//
+// rows. Since every B ≥ 1, u never grows with k, so the arrival term never
+// binds first. While u_0 < M no tail crossing is known and an acquisition
+// computes nothing. Otherwise it fills the newly settled cells in one
+// row-major pass — each cell depends only on earlier rows and on the cell
+// to its left — then schedules the releases of the columns whose tail row
+// it reached, in channel order. With single-flit buffers and M ≥ L the
+// whole schedule is one pass at the final acquisition. The engine
+// reproduces the defining wormhole behaviours: the pipeline streams at the
+// rate of the slowest held channel, and a blocked head stalls its body
+// flits in place, holding every upstream channel whose buffers cannot
 // absorb them; with B ≥ message length the behaviour becomes virtual
 // cut-through.
 //
@@ -99,25 +111,24 @@ type Journey struct {
 	OnComplete func(j *Journey, exits []float64)
 
 	// Acquire[k], filled in by the engine, is the time the head acquired
-	// Channels[k]. Exposed for latency decomposition in tests and stats.
+	// Channels[k]: row 0 of the start matrix. Exposed for latency
+	// decomposition in tests and stats.
 	Acquire []float64
 
 	idx      int // next channel index to acquire
 	acquired int // channels acquired so far
 
-	// Flit-recurrence state, allocated at first acquisition. start is the
-	// start(j,k) matrix stored column-major (start[k][j]); computed[k]
-	// counts the settled rows of column k. Columns advance as ragged
-	// frontiers: a cell is evaluated the moment its dependencies exist.
-	// Acquire, exits and the start columns are views into one shared
-	// slab (floats), so a grant costs three allocations, all reusable
-	// through Engine.Recycle.
-	start    [][]float64
-	computed []int
-	exits    []float64 // d(j, L−1)
-	floats   []float64 // backing slab: Acquire | exits | start columns
+	// Flit-schedule state, allocated at the first grant and reusable
+	// through Engine.Recycle. floats holds the start(j,k) matrix
+	// row-major (start[j·L+k], so Acquire is its first row), then exits,
+	// then each channel's s_k; ints holds each channel's B_k, then the
+	// settled row count of each column, then the frontier u_k of the
+	// current grant. Copying s_k and B_k means filling a cell reads no
+	// *Channel, and a journey costs two allocations.
+	floats   []float64 // start (L·M) | exits (M) | flit times (L)
+	ints     []int     // depths (L) | settled (L) | frontier (L)
+	exits    []float64 // d(j, L−1), a view into floats
 	prepared bool
-	done     bool
 }
 
 // Engine drives journeys over a shared event kernel.
@@ -169,8 +180,7 @@ func (e *Engine) Recycle(j *Journey) {
 	if j == nil {
 		return
 	}
-	start, computed, floats := j.start, j.computed, j.floats
-	*j = Journey{start: start, computed: computed, floats: floats, prepared: false}
+	*j = Journey{floats: j.floats, ints: j.ints}
 	e.free = append(e.free, j)
 }
 
@@ -212,7 +222,6 @@ func (e *Engine) Start(j *Journey, at float64) {
 	j.idx = 0
 	j.acquired = 0
 	j.prepared = false
-	j.done = false
 	e.Started++
 	e.handlers()
 	e.K.ScheduleCallAt(at, e.requestFn, j)
@@ -242,30 +251,24 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 
 	if !j.prepared {
 		// Allocated on first grant, not Start: journeys queued at their
-		// first channel (the source queue) cost no recurrence state. One
-		// slab backs Acquire, exits and the start matrix; recycled
-		// journeys reuse it outright.
+		// first channel (the source queue) cost no schedule state.
+		// Recycled journeys reuse both slabs outright.
 		L, M := len(j.Channels), j.Flits
-		need := L + M + L*M
-		if cap(j.floats) < need {
-			j.floats = make([]float64, need)
+		if cap(j.floats) < L*M+M+L {
+			j.floats = make([]float64, L*M+M+L)
 		}
-		fl := j.floats[:need]
-		j.Acquire = fl[:L:L]
-		j.exits = fl[L : L+M : L+M]
-		slab := fl[L+M:]
-		if cap(j.start) < L {
-			j.start = make([][]float64, L)
+		j.floats = j.floats[:L*M+M+L]
+		j.Acquire = j.floats[:L:L]
+		j.exits = j.floats[L*M : L*M+M : L*M+M]
+		if cap(j.ints) < 3*L {
+			j.ints = make([]int, 3*L)
 		}
-		j.start = j.start[:L]
-		for k := range j.start {
-			j.start[k] = slab[k*M : (k+1)*M : (k+1)*M]
+		j.ints = j.ints[:3*L]
+		for k, c := range j.Channels {
+			j.floats[L*M+M+k] = c.FlitTime
+			j.ints[k] = c.BufferDepth
 		}
-		if cap(j.computed) < L {
-			j.computed = make([]int, L)
-		}
-		j.computed = j.computed[:L]
-		clear(j.computed)
+		clear(j.ints[L : 2*L]) // nothing settled
 		j.prepared = true
 	}
 	j.Acquire[j.idx] = now
@@ -277,11 +280,8 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 		// The head flit reaches the next switch after one flit time.
 		e.K.ScheduleCall(ch.FlitTime, e.requestFn, j)
 	}
-	e.advance(j)
+	e.settle(j)
 	if last {
-		if !j.done {
-			panic("wormhole: recurrence incomplete after final acquisition")
-		}
 		e.Completed++
 		if j.OnComplete != nil {
 			j.OnComplete(j, j.exits)
@@ -289,67 +289,77 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 	}
 }
 
-// advance extends every column's frontier as far as current knowledge
-// allows, scheduling releases and recording exits as cells settle. Cells
-// computed during the event triggered by acquisition a_q depend on column
-// q, so their times are >= now: releases are never scheduled into the
-// past.
-func (e *Engine) advance(j *Journey) {
-	L := len(j.Channels)
-	M := j.Flits
-	for progress := true; progress; {
-		progress = false
-		for k := 0; k < j.acquired; k++ {
-			sk := j.Channels[k].FlitTime
-			col := j.start[k]
-			for j.computed[k] < M {
-				fl := j.computed[k]
-				var st float64
-				if fl == 0 {
-					st = j.Acquire[k]
-				} else {
-					// Arrival at this channel's switch.
-					if k == 0 {
-						if j.Avail != nil {
-							st = j.Avail[fl]
-						}
-					} else {
-						if j.computed[k-1] <= fl {
-							break // need d(fl, k−1)
-						}
-						st = j.start[k-1][fl] + j.Channels[k-1].FlitTime
+// settle brings the flit schedule up to the frontier that j's
+// acquisitions so far determine (see the package comment): it computes
+// the closed-form u_k, fills the newly settled cells row by row, and
+// schedules a release for every channel whose tail crossing it reached.
+// Cells below the frontier may be left for a later grant, but a tail
+// cell settles exactly at the grant a cell-by-cell evaluation would
+// settle it — the one whose acquisition, made now, it waits on — so no
+// release is scheduled into the past, and releases go out in ascending
+// channel order: the event order does not depend on how the fill is
+// batched.
+func (e *Engine) settle(j *Journey) {
+	L, M, a := len(j.Channels), j.Flits, j.acquired
+	start, s := j.floats[:L*M], j.floats[L*M+M:]
+	depth, settled, u := j.ints[:L], j.ints[L:L+a], j.ints[2*L:2*L+a]
+
+	u[a-1] = M
+	if a < L {
+		u[a-1] = min(M, depth[a])
+	}
+	for k := a - 2; k >= 0; k-- {
+		u[k] = min(M, u[k+1]+depth[k+1])
+	}
+	if u[0] < M {
+		return // no tail crossing is known yet
+	}
+
+	// Row 0 holds the acquisition times. Row fl needs the columns k with
+	// settled[k] ≤ fl < u[k]; neither bound grows with k, so they form a
+	// run starting at k0, and k0 only moves left as fl rises.
+	k0 := a
+	for fl := 1; fl < M; fl++ {
+		for k0 > 0 && settled[k0-1] <= fl {
+			k0--
+		}
+		row := start[fl*L : fl*L+L]
+		prev := start[(fl-1)*L : fl*L]
+		for k := k0; k < a && fl < u[k]; k++ {
+			// Arrival at this channel's switch.
+			var st float64
+			if k > 0 {
+				st = row[k-1] + s[k-1]
+			} else if j.Avail != nil {
+				st = j.Avail[fl]
+			}
+			// Link serialization: d(fl−1, k).
+			if ls := prev[k] + s[k]; ls > st {
+				st = ls
+			}
+			// Buffer space at the next stage: start(fl−b, k+1).
+			if k < L-1 {
+				if b := depth[k+1]; fl >= b {
+					if bo := start[(fl-b)*L+k+1]; bo > st {
+						st = bo
 					}
-					// Link serialization: d(fl−1, k).
-					if ls := col[fl-1] + sk; ls > st {
-						st = ls
-					}
-					// Buffer space at the next stage.
-					if k < L-1 {
-						b := j.Channels[k+1].BufferDepth
-						if fl-b >= 0 {
-							if j.computed[k+1] <= fl-b {
-								break // need start(fl−b, k+1)
-							}
-							if bo := j.start[k+1][fl-b]; bo > st {
-								st = bo
-							}
-						}
-					}
-				}
-				col[fl] = st
-				j.computed[k]++
-				progress = true
-				if k == L-1 {
-					j.exits[fl] = st + sk
-				}
-				if fl == M-1 {
-					e.K.ScheduleCallAt(st+sk, e.releaseFn, j.Channels[k])
 				}
 			}
+			row[k] = st
 		}
 	}
-	if j.computed[L-1] == M {
-		j.done = true
+
+	tail := start[(M-1)*L : M*L]
+	for k := range u {
+		if settled[k] < M && u[k] == M {
+			e.K.ScheduleCallAt(tail[k]+s[k], e.releaseFn, j.Channels[k])
+		}
+		settled[k] = u[k]
+	}
+	if a == L {
+		for fl := range j.exits {
+			j.exits[fl] = start[fl*L+L-1] + s[L-1]
+		}
 	}
 }
 

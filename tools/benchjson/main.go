@@ -8,14 +8,17 @@
 // tool exits 1 when a gated benchmark regressed — more than -max-time-pct
 // percent slower on ns/op, or any increase in allocs/op — or disappeared
 // from either side (a rename must update the gate, not silently disable
-// it). The comparison report is written as JSON (stdout or -out) either
-// way, so CI can upload it as an artifact.
+// it). Repeated lines of one benchmark (go test -count N) are compared by
+// their median ns/op and median allocs/op, on both sides; the report
+// carries each side's run count and ns/op range. The comparison report
+// is written as JSON (stdout or -out) either way, so CI can upload it as
+// an artifact.
 //
 // Usage:
 //
 //	go test -bench=. -benchtime=1x -run='^$' . | go run ./tools/benchjson -out BENCH_2.json
 //	go test -bench='^(BenchmarkEvaluate|BenchmarkCanonicalize|BenchmarkSweepParallel)$' \
-//	  -benchtime=50x -benchmem -run='^$' . | \
+//	  -benchtime=2s -count 3 -benchmem -run='^$' . | \
 //	  go run ./tools/benchjson -diff BENCH_3.json -gate Evaluate,Canonicalize,SweepParallel \
 //	  -max-time-pct 25 -out bench-diff.json
 package main
@@ -29,6 +32,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -116,11 +120,19 @@ type DiffEntry struct {
 	Status string `json:"status"`
 	Detail string `json:"detail"`
 
-	BaseTimeNs   float64 `json:"baseTimeNs,omitempty"`
-	FreshTimeNs  float64 `json:"freshTimeNs,omitempty"`
-	TimeDeltaPct float64 `json:"timeDeltaPct,omitempty"`
-	BaseAllocs   float64 `json:"baseAllocs,omitempty"`
-	FreshAllocs  float64 `json:"freshAllocs,omitempty"`
+	// Times and allocation counts are medians over each side's runs;
+	// the ns/op range of the runs is their spread.
+	BaseTimeNs     float64 `json:"baseTimeNs,omitempty"`
+	FreshTimeNs    float64 `json:"freshTimeNs,omitempty"`
+	TimeDeltaPct   float64 `json:"timeDeltaPct,omitempty"`
+	BaseAllocs     float64 `json:"baseAllocs,omitempty"`
+	FreshAllocs    float64 `json:"freshAllocs,omitempty"`
+	BaseRuns       int     `json:"baseRuns,omitempty"`
+	FreshRuns      int     `json:"freshRuns,omitempty"`
+	BaseTimeMinNs  float64 `json:"baseTimeMinNs,omitempty"`
+	BaseTimeMaxNs  float64 `json:"baseTimeMaxNs,omitempty"`
+	FreshTimeMinNs float64 `json:"freshTimeMinNs,omitempty"`
+	FreshTimeMaxNs float64 `json:"freshTimeMaxNs,omitempty"`
 }
 
 // DiffReport is the -diff output document.
@@ -157,17 +169,52 @@ func loadDocument(path string) (*Document, error) {
 	return &doc, nil
 }
 
-// index maps benchmark name → entry (first occurrence wins; -cpu
-// variants share a name and the first is the default GOMAXPROCS run).
-func index(doc *Document) map[string]*Benchmark {
-	m := make(map[string]*Benchmark, len(doc.Benchmarks))
-	for i := range doc.Benchmarks {
-		b := &doc.Benchmarks[i]
-		if _, ok := m[b.Name]; !ok {
-			m[b.Name] = b
+// summary is one benchmark's runs in a document, collapsed: the median
+// ns/op and allocs/op, and the ns/op range.
+type summary struct {
+	runs                 int
+	timeNs, allocs       float64
+	minTimeNs, maxTimeNs float64
+}
+
+// index maps benchmark name → the summary of its runs. Repeated lines
+// (go test -count N) collapse to their medians; -cpu variants share a
+// name, and only the first GOMAXPROCS seen (the default run) counts.
+func index(doc *Document) map[string]summary {
+	procs := make(map[string]int)
+	times := make(map[string][]float64)
+	allocs := make(map[string][]float64)
+	for _, b := range doc.Benchmarks {
+		if p, ok := procs[b.Name]; ok && p != b.Procs {
+			continue
+		}
+		procs[b.Name] = b.Procs
+		times[b.Name] = append(times[b.Name], b.Metrics["ns/op"])
+		allocs[b.Name] = append(allocs[b.Name], b.Metrics["allocs/op"])
+	}
+	m := make(map[string]summary, len(times))
+	for name, ts := range times {
+		m[name] = summary{
+			runs:      len(ts),
+			timeNs:    median(ts),
+			allocs:    median(allocs[name]),
+			minTimeNs: slices.Min(ts),
+			maxTimeNs: slices.Max(ts),
 		}
 	}
 	return m
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count); xs must be non-empty.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // diffDocuments gates fresh against baseline: a gated benchmark fails
@@ -194,10 +241,11 @@ func diffDocuments(baseline, fresh *Document, gates []string, maxTimePct float64
 		case !okF:
 			e.Status, e.Detail = "missing", "absent from fresh run"
 		default:
-			e.BaseTimeNs = b.Metrics["ns/op"]
-			e.FreshTimeNs = f.Metrics["ns/op"]
-			e.BaseAllocs = b.Metrics["allocs/op"]
-			e.FreshAllocs = f.Metrics["allocs/op"]
+			e.BaseTimeNs, e.FreshTimeNs = b.timeNs, f.timeNs
+			e.BaseAllocs, e.FreshAllocs = b.allocs, f.allocs
+			e.BaseRuns, e.FreshRuns = b.runs, f.runs
+			e.BaseTimeMinNs, e.BaseTimeMaxNs = b.minTimeNs, b.maxTimeNs
+			e.FreshTimeMinNs, e.FreshTimeMaxNs = f.minTimeNs, f.maxTimeNs
 			if e.BaseTimeNs > 0 {
 				e.TimeDeltaPct = 100 * (e.FreshTimeNs - e.BaseTimeNs) / e.BaseTimeNs
 				e.TimeDeltaPct = math.Round(e.TimeDeltaPct*100) / 100
@@ -216,6 +264,8 @@ func diffDocuments(baseline, fresh *Document, gates []string, maxTimePct float64
 				e.Detail = fmt.Sprintf("ns/op %+.1f%%, allocs/op %g -> %g",
 					e.TimeDeltaPct, e.BaseAllocs, e.FreshAllocs)
 			}
+			e.Detail += fmt.Sprintf(" (medians of %d vs %d runs; fresh ns/op %.4g–%.4g)",
+				e.BaseRuns, e.FreshRuns, e.FreshTimeMinNs, e.FreshTimeMaxNs)
 		}
 		if e.Status != "ok" {
 			rep.Failed = true

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -108,5 +109,71 @@ func TestSplitGate(t *testing.T) {
 	got := splitGate(" Evaluate, Canonicalize ,,SweepParallel ")
 	if len(got) != 3 || got[0] != "Evaluate" || got[1] != "Canonicalize" || got[2] != "SweepParallel" {
 		t.Errorf("splitGate = %v", got)
+	}
+}
+
+// runs renders one benchmark line per (procs, ns/op, allocs/op) triple.
+func runs(name string, rs ...[3]float64) string {
+	var b strings.Builder
+	for _, r := range rs {
+		fmt.Fprintf(&b, "Benchmark%s-%g\t100\t%g ns/op\t64 B/op\t%g allocs/op\n", name, r[0], r[1], r[2])
+	}
+	return b.String()
+}
+
+func TestIndexCollapsesRepeatedRuns(t *testing.T) {
+	cases := []struct {
+		name string
+		text string
+		want summary
+	}{
+		{"single run", runs("X", [3]float64{2, 100, 5}),
+			summary{runs: 1, timeNs: 100, allocs: 5, minTimeNs: 100, maxTimeNs: 100}},
+		{"odd count takes the middle", runs("X", [3]float64{2, 300, 5}, [3]float64{2, 100, 5}, [3]float64{2, 200, 5}),
+			summary{runs: 3, timeNs: 200, allocs: 5, minTimeNs: 100, maxTimeNs: 300}},
+		{"even count averages the middle two", runs("X", [3]float64{2, 100, 4}, [3]float64{2, 400, 6}, [3]float64{2, 200, 4}, [3]float64{2, 1000, 9}),
+			summary{runs: 4, timeNs: 300, allocs: 5, minTimeNs: 100, maxTimeNs: 1000}},
+		{"allocs take their own median", runs("X", [3]float64{2, 100, 7}, [3]float64{2, 200, 5}, [3]float64{2, 300, 6}),
+			summary{runs: 3, timeNs: 200, allocs: 6, minTimeNs: 100, maxTimeNs: 300}},
+		{"only the first GOMAXPROCS counts", runs("X", [3]float64{2, 100, 5}, [3]float64{4, 900, 9}, [3]float64{2, 300, 5}, [3]float64{4, 50, 1}),
+			summary{runs: 2, timeNs: 200, allocs: 5, minTimeNs: 100, maxTimeNs: 300}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, ok := index(parseText(t, c.text))["X"]
+			if !ok || got != c.want {
+				t.Errorf("index = %+v, want %+v", got, c.want)
+			}
+		})
+	}
+}
+
+func TestDiffGatesOnMedians(t *testing.T) {
+	base := parseText(t, runs("Evaluate", [3]float64{2, 1000, 4}, [3]float64{2, 1100, 4}, [3]float64{2, 900, 4}))
+	cases := []struct {
+		name   string
+		fresh  string
+		failed bool
+	}{
+		// One slow run of three no longer decides the gate…
+		{"one slow outlier", runs("Evaluate", [3]float64{2, 2000, 4}, [3]float64{2, 1050, 4}, [3]float64{2, 1100, 4}), false},
+		// …and one fast run no longer hides a regression.
+		{"slow median", runs("Evaluate", [3]float64{2, 900, 4}, [3]float64{2, 1300, 4}, [3]float64{2, 1400, 4}), true},
+		{"one run allocates more", runs("Evaluate", [3]float64{2, 1000, 5}, [3]float64{2, 1000, 4}, [3]float64{2, 1000, 4}), false},
+		{"most runs allocate more", runs("Evaluate", [3]float64{2, 1000, 5}, [3]float64{2, 1000, 5}, [3]float64{2, 1000, 4}), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rep := diffDocuments(base, parseText(t, c.fresh), []string{"Evaluate"}, 25)
+			if rep.Failed != c.failed {
+				t.Fatalf("failed = %v, want %v: %+v", rep.Failed, c.failed, rep.Entries)
+			}
+		})
+	}
+	rep := diffDocuments(base, parseText(t, cases[0].fresh), []string{"Evaluate"}, 25)
+	e := rep.Entries[0]
+	if e.BaseRuns != 3 || e.FreshRuns != 3 || e.BaseTimeNs != 1000 || e.FreshTimeNs != 1100 ||
+		e.BaseTimeMinNs != 900 || e.BaseTimeMaxNs != 1100 || e.FreshTimeMinNs != 1050 || e.FreshTimeMaxNs != 2000 {
+		t.Errorf("spread not reported: %+v", e)
 	}
 }
