@@ -783,9 +783,10 @@ func BenchmarkPerfabStateArena(b *testing.B) {
 // BenchmarkDESFig measures the figure pipelines' simulation leg: the
 // Fig 5 system (N=544, M=32) driven through the wormhole DES at three
 // points of the load curve, the shape every Fig 3–6 regeneration
-// repeats per λ. The calendar-queue kernel, journey/message pooling and
-// route memoization all land here. Gated by the CI perf-regression diff
-// against the committed baseline.
+// repeats per λ. The heap kernel, journey/message pooling and route
+// memoization all land here; a median pop finds 27–117 events pending
+// (at most 206). Gated by the CI perf-regression diff against the
+// committed baseline.
 func BenchmarkDESFig(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
@@ -793,6 +794,29 @@ func BenchmarkDESFig(b *testing.B) {
 			m, err := sim.Run(sim.Config{
 				Sys: cluster.System544(), Msg: netchar.MessageSpec{Flits: 32, FlitBytes: 256},
 				Lambda: lambda, Seed: uint64(j + 1), WarmupCount: 200, MeasureCount: 2000,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			events += m.Events
+		}
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/run")
+}
+
+// BenchmarkDESCampaign measures the simulation leg of a campaign on the
+// small preset (M=16 × 128 B, warmup 300, measure 3000), the two
+// simulated points of the repository benchmark's DES campaign. Its
+// pending population is small (median 3–5 events at a pop), a regime
+// neither DESFig nor Simulator544 covers, so per-event kernel overhead
+// dominates. Gated by the CI perf-regression diff.
+func BenchmarkDESCampaign(b *testing.B) {
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		for j, lambda := range [...]float64{0.001, 0.003} {
+			m, err := sim.Run(sim.Config{
+				Sys: cluster.SmallTestSystem(), Msg: netchar.MessageSpec{Flits: 16, FlitBytes: 128},
+				Lambda: lambda, Seed: uint64(j + 1), WarmupCount: 300, MeasureCount: 3000,
 			})
 			if err != nil {
 				b.Fatal(err)

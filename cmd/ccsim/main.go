@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -84,16 +85,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CollectChannelUtil: *topN > 0,
 		BufferDepth:        *depth,
 	}
+	var traceFile *os.File
+	var traceBuf *bufio.Writer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("trace: %w", err))
 		}
-		defer f.Close()
+		defer f.Close() // error paths only: the success path checks Close
+		traceFile, traceBuf = f, bufio.NewWriter(f)
 		if strings.HasSuffix(*traceOut, ".jsonl") {
-			cfg.Trace = &trace.JSONLWriter{W: f}
+			cfg.Trace = &trace.JSONLWriter{W: traceBuf}
 		} else {
-			cfg.Trace = &trace.CSVWriter{W: f}
+			cfg.Trace = &trace.CSVWriter{W: traceBuf}
 		}
 	}
 	switch *pattern {
@@ -116,6 +120,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	elapsed := time.Since(start)
+	if traceFile != nil {
+		if err := traceBuf.Flush(); err != nil {
+			return fail(fmt.Errorf("trace: %w", err))
+		}
+		if err := traceFile.Close(); err != nil {
+			return fail(fmt.Errorf("trace: %w", err))
+		}
+	}
 
 	fmt.Fprintf(stdout, "system %s (N=%d), λ_g=%.4g, M=%d×%dB, pattern=%s\n",
 		sys.Name, sys.TotalNodes(), *lambda, *flits, *flitBytes, *pattern)

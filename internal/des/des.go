@@ -3,10 +3,12 @@
 // FIFO tie-breaking for events scheduled at the same instant.
 //
 // The kernel is single-goroutine by design — network simulators of this
-// kind are dominated by event ordering, and a sequential calendar is both
-// fastest and exactly reproducible. Events live by value in the calendar
-// buckets (no per-event allocation), and the ScheduleCall variants take a
-// shared handler plus a context argument so steady-state scheduling does
+// kind are dominated by event ordering, and a sequential future-event
+// list is both fastest and exactly reproducible. The list is a 4-ary
+// min-heap of pointer-free keys; each pending event's handler and
+// argument sit in a slab slot that is reused once the event fires, so
+// steady-state scheduling allocates nothing, and the ScheduleCall
+// variants take a shared handler plus a context argument so callers need
 // not allocate closures either.
 package des
 
@@ -18,48 +20,43 @@ import (
 // Handler is the action executed when an event fires.
 type Handler func()
 
-// event is one calendar entry. Exactly one of fn and call is set; call
-// receives arg, letting callers schedule a long-lived func value instead
-// of allocating a closure per event.
-type event struct {
+// key orders one pending event by (time, seq) and names the slab slot
+// holding its payload. It holds no pointers, so moving keys through the
+// heap needs no write barriers and gives the garbage collector nothing
+// to scan.
+type key struct {
 	time float64
-	vi   int64 // virtual bucket index floor(time/width) at enqueue width
 	seq  uint64
-	fn   Handler
+	slot int
+}
+
+func (a *key) before(b *key) bool {
+	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
+}
+
+// payload is what a pending event runs: call(arg).
+type payload struct {
 	call func(any)
 	arg  any
 }
 
-// Calendar-queue sizing bounds. The bucket array doubles while the
-// population exceeds two events per bucket and halves when it falls
-// below a quarter event per bucket, keeping both the per-pop bucket scan
-// and the empty-bucket walk O(1) amortized.
-const (
-	minBuckets = 16
-	maxBuckets = 1 << 16
-)
+// runHandler is the shared call of every Schedule/ScheduleAt event: the
+// Handler rides as the argument, and a func value boxes into an
+// interface without allocating.
+func runHandler(h any) { h.(Handler)() }
 
-// Kernel owns the simulation clock and event calendar. The zero value is
-// ready to use.
+// Kernel owns the simulation clock and the future-event list. The zero
+// value is ready to use.
 //
-// The calendar is a classic Brown calendar queue ordered by (time, seq):
-// events hash into buckets[vi & mask] by their virtual day index
-// vi = floor(time/width). A pop scans the current day's bucket; after a
-// fruitless year it falls back to a direct scan of every bucket, so
-// sparse or clustered calendars degrade gracefully instead of looping.
-// The bucket width is re-derived from the live population's time span at
-// every resize.
+// Events pop in (time, seq) order, where seq numbers schedule calls, so
+// events at the same instant fire in the order they were scheduled. The
+// order is total: a run's event sequence depends only on what was
+// scheduled, never on the queue's layout. The three slices grow to the
+// run's peak pending population and are reused from then on.
 type Kernel struct {
-	buckets [][]event
-	mask    int
-	width   float64
-	curVi   int64
-	size    int
-
-	// memo caches the located minimum between a peek and the pop that
-	// follows it; any push invalidates it.
-	memoValid    bool
-	memoB, memoI int
+	heap []key     // 4-ary min-heap: the children of i are 4i+1 … 4i+4
+	slab []payload // pending events' payloads, indexed by key.slot
+	free []int     // slab slots not holding a pending event
 
 	now       float64
 	seq       uint64
@@ -73,7 +70,7 @@ func (k *Kernel) Now() float64 { return k.now }
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of scheduled but unexecuted events.
-func (k *Kernel) Pending() int { return k.size }
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Schedule runs fn after delay simulation-time units. Negative or NaN
 // delays panic: they would break causality.
@@ -86,18 +83,16 @@ func (k *Kernel) Schedule(delay float64, fn Handler) {
 
 // ScheduleAt runs fn at absolute simulation time t (>= Now).
 func (k *Kernel) ScheduleAt(t float64, fn Handler) {
-	if t < k.now || math.IsNaN(t) {
-		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, k.now))
+	var call func(any) // stays nil for a nil fn, which ScheduleCallAt rejects
+	if fn != nil {
+		call = runHandler
 	}
-	if fn == nil {
-		panic("des: nil handler")
-	}
-	k.push(event{time: t, fn: fn})
+	k.ScheduleCallAt(t, call, fn)
 }
 
 // ScheduleCall runs fn(arg) after delay simulation-time units. fn is
 // typically a long-lived func value shared by every event of one kind,
-// so the call allocates nothing beyond the calendar slot.
+// so the call allocates nothing beyond the event's queue slot.
 func (k *Kernel) ScheduleCall(delay float64, fn func(any), arg any) {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("des: invalid delay %v", delay))
@@ -113,168 +108,90 @@ func (k *Kernel) ScheduleCallAt(t float64, fn func(any), arg any) {
 	if fn == nil {
 		panic("des: nil handler")
 	}
-	k.push(event{time: t, call: fn, arg: arg})
-}
-
-// viOf maps a timestamp to its virtual day at the current width,
-// saturating instead of overflowing for astronomically late events.
-func (k *Kernel) viOf(t float64) int64 {
-	v := t / k.width
-	if v >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(v)
-}
-
-func (k *Kernel) push(e event) {
-	if k.buckets == nil {
-		k.buckets = make([][]event, minBuckets)
-		k.mask = minBuckets - 1
-		k.width = 1
-		k.curVi = 0
-	}
-	if k.size >= 2*len(k.buckets) && len(k.buckets) < maxBuckets {
-		k.resize(2 * len(k.buckets))
+	var slot int
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+		k.slab[slot] = payload{fn, arg}
+	} else {
+		slot = len(k.slab)
+		k.slab = append(k.slab, payload{fn, arg})
 	}
 	k.seq++
-	e.seq = k.seq
-	e.vi = k.viOf(e.time)
-	// curVi can sit ahead of the clock's own day (findMin advances it
-	// past empty days, resize floors it to the then-present minimum), so
-	// a new event may land on an earlier day — pull the scan back.
-	if e.vi < k.curVi {
-		k.curVi = e.vi
+	k.heap = append(k.heap, key{time: t, seq: k.seq, slot: slot})
+
+	// Sift up.
+	h := k.heap
+	i := len(h) - 1
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	b := int(e.vi) & k.mask
-	k.buckets[b] = append(k.buckets[b], e)
-	k.size++
-	k.memoValid = false
+	h[i] = e
 }
 
-// resize redistributes the calendar over n buckets and re-derives the
-// bucket width from the live population's span (targeting a few events
-// per virtual day). All inputs are functions of the scheduled events, so
-// identical schedules resize identically — determinism is preserved.
-func (k *Kernel) resize(n int) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, b := range k.buckets {
-		for i := range b {
-			if t := b[i].time; !math.IsInf(t, 0) {
-				lo, hi = math.Min(lo, t), math.Max(hi, t)
+// pop removes and returns the earliest key.
+func (k *Kernel) pop() key {
+	n := len(k.heap) - 1
+	top, e := k.heap[0], k.heap[n]
+	k.heap = k.heap[:n] // same backing array: no pointer store
+	if n == 0 {
+		return top
+	}
+	h := k.heap
+
+	// Sift the former last key down from the root.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(&h[m]) {
+				m = j
 			}
 		}
-	}
-	if span := hi - lo; span > 0 && k.size > 1 && !math.IsInf(span, 0) {
-		k.width = 2 * span / float64(k.size)
-	}
-	old := k.buckets
-	k.buckets = make([][]event, n)
-	k.mask = n - 1
-	minVi := int64(math.MaxInt64)
-	for _, ob := range old {
-		for i := range ob {
-			e := ob[i]
-			e.vi = k.viOf(e.time)
-			if e.vi < minVi {
-				minVi = e.vi
-			}
-			b := int(e.vi) & k.mask
-			k.buckets[b] = append(k.buckets[b], e)
+		if !h[m].before(&e) {
+			break
 		}
+		h[i] = h[m]
+		i = m
 	}
-	if k.size > 0 {
-		k.curVi = minVi
-	} else {
-		k.curVi = k.viOf(k.now)
-	}
-	k.memoValid = false
+	h[i] = e
+	return top
 }
 
-// findMin locates the earliest event by (time, seq). It walks virtual
-// days from curVi, taking the (time, seq)-minimum among the current
-// day's events; after a whole year without a hit it scans every bucket
-// directly. The position is memoized until the next push or pop.
-func (k *Kernel) findMin() (int, int) {
-	if k.memoValid {
-		return k.memoB, k.memoI
-	}
-	for range k.buckets {
-		b := int(k.curVi) & k.mask
-		best := -1
-		var bt float64
-		var bs uint64
-		for i := range k.buckets[b] {
-			e := &k.buckets[b][i]
-			if e.vi != k.curVi {
-				continue
-			}
-			if best < 0 || e.time < bt || (e.time == bt && e.seq < bs) {
-				best, bt, bs = i, e.time, e.seq
-			}
-		}
-		if best >= 0 {
-			k.memoValid, k.memoB, k.memoI = true, b, best
-			return b, best
-		}
-		k.curVi++
-	}
-	bestB, bestI := -1, -1
-	var bt float64
-	var bs uint64
-	for b := range k.buckets {
-		for i := range k.buckets[b] {
-			e := &k.buckets[b][i]
-			if bestI < 0 || e.time < bt || (e.time == bt && e.seq < bs) {
-				bestB, bestI, bt, bs = b, i, e.time, e.seq
-			}
-		}
-	}
-	k.curVi = k.buckets[bestB][bestI].vi
-	k.memoValid, k.memoB, k.memoI = true, bestB, bestI
-	return bestB, bestI
-}
-
-// pop removes and returns the earliest event.
-func (k *Kernel) pop() event {
-	b, i := k.findMin()
-	bucket := k.buckets[b]
-	e := bucket[i]
-	last := len(bucket) - 1
-	bucket[i] = bucket[last]
-	bucket[last] = event{} // drop handler/arg references
-	k.buckets[b] = bucket[:last]
-	k.size--
-	k.curVi = e.vi
-	k.memoValid = false
-	if k.size < len(k.buckets)/4 && len(k.buckets) > minBuckets {
-		k.resize(len(k.buckets) / 2)
-	}
-	return e
-}
-
-// Step executes the next event. It reports false when the calendar is
-// empty.
+// Step executes the next event. It reports false when no event is
+// pending. The event's slot is cleared and freed before its handler
+// runs, so a fired event keeps nothing alive and the handler's own
+// scheduling can reuse the slot.
 func (k *Kernel) Step() bool {
-	if k.size == 0 {
+	if len(k.heap) == 0 {
 		return false
 	}
-	e := k.pop()
-	k.now = e.time
+	top := k.pop()
+	p := k.slab[top.slot]
+	k.slab[top.slot] = payload{}
+	k.free = append(k.free, top.slot)
+	k.now = top.time
 	k.processed++
-	if e.fn != nil {
-		e.fn()
-	} else {
-		e.call(e.arg)
-	}
+	p.call(p.arg)
 	return true
 }
 
-// Run executes events until the calendar is empty or until stop (if
-// non-nil) returns true, checked before each event. It returns the number
-// of events executed by this call.
+// Run executes events until none is pending or until stop (if non-nil)
+// returns true, checked before each event. It returns the number of
+// events executed by this call.
 func (k *Kernel) Run(stop func() bool) uint64 {
 	start := k.processed
-	for k.size > 0 {
+	for len(k.heap) > 0 {
 		if stop != nil && stop() {
 			break
 		}
@@ -284,13 +201,9 @@ func (k *Kernel) Run(stop func() bool) uint64 {
 }
 
 // RunUntil executes events with timestamps <= t, advancing the clock to t
-// if the calendar drains earlier.
+// if no pending event remains at or before it.
 func (k *Kernel) RunUntil(t float64) {
-	for k.size > 0 {
-		b, i := k.findMin()
-		if k.buckets[b][i].time > t {
-			break
-		}
+	for len(k.heap) > 0 && k.heap[0].time <= t {
 		k.Step()
 	}
 	if k.now < t {

@@ -127,7 +127,9 @@ type Metrics struct {
 // MeanLatency returns the measured mean.
 func (m *Metrics) MeanLatency() float64 { return m.Latency.Mean() }
 
-// message tracks one end-to-end transfer through up to three journeys.
+// message tracks one end-to-end transfer through up to three journeys:
+// segs holds its channel paths (one for intra, three for inter) and seg
+// the index of the segment in flight.
 type message struct {
 	id        uint64
 	src, dst  int
@@ -135,6 +137,8 @@ type message struct {
 	phase     stats.Phase
 	intra     bool
 	segStarts []float64
+	segs      [3][]*wormhole.Channel
+	seg       int
 }
 
 // Run executes one simulation to completion (all measured messages
@@ -247,12 +251,42 @@ func Run(cfg Config) (*Metrics, error) {
 		}
 	}
 
-	// recycle returns a completed segment's journey to the engine once
-	// its Acquire/exits views have been read out.
-	recycle := func(jn *wormhole.Journey) {
+	// startSegment launches msg's segment msg.seg at time at. Every
+	// journey shares one completion handler, which finds its message
+	// through the journey's Tag.
+	var onSegment func(jn *wormhole.Journey, exits []float64)
+	startSegment := func(msg *message, at float64) {
+		j := engine.NewJourney()
+		j.Channels = msg.segs[msg.seg]
+		j.Flits = cfg.Msg.Flits
+		j.OnComplete = onSegment
+		j.Tag = msg
+		engine.Start(j, at)
+	}
+
+	// Gateways store-and-forward whole messages (the paper's "simple
+	// bi-directional buffers", whose modelled service M·t_cs^{I2} covers
+	// a full message): segment s+1 starts once segment s's tail has
+	// arrived. This is what keeps the gateway's single ICN2 injection
+	// port at M·t_cs^{I2} occupancy per message — the system's
+	// saturation behaviour — instead of being throttled to the slower
+	// ECN1 arrival rate, and it decouples the wormhole dependency chains
+	// of the three networks (deadlock freedom).
+	onSegment = func(jn *wormhole.Journey, exits []float64) {
+		msg := jn.Tag.(*message)
+		msg.segStarts = append(msg.segStarts, jn.Acquire[0])
+		at := exits[len(exits)-1]
+		// The journey's Acquire and exits views are read out; with no
+		// trace retaining them its buffers go back to the engine.
 		if pooled {
 			engine.Recycle(jn)
 		}
+		if msg.intra || msg.seg == len(msg.segs)-1 {
+			deliver(msg, at)
+			return
+		}
+		msg.seg++
+		startSegment(msg, at)
 	}
 
 	launch := func(src int, at float64) {
@@ -270,59 +304,13 @@ func Run(cfg Config) (*Metrics, error) {
 		dstCluster := f.clusterOf(dst)
 		srcLocal := src - f.offsets[srcCluster]
 		dstLocal := dst - f.offsets[dstCluster]
-
 		if srcCluster == dstCluster {
 			msg.intra = true
-			j := engine.NewJourney()
-			j.Channels = f.intraPath(srcCluster, srcLocal, dstLocal)
-			j.Flits = cfg.Msg.Flits
-			j.OnComplete = func(jn *wormhole.Journey, exits []float64) {
-				msg.segStarts = append(msg.segStarts, jn.Acquire[0])
-				deliver(msg, exits[len(exits)-1])
-				recycle(jn)
-			}
-			engine.Start(j, at)
-			return
+			msg.segs[0] = f.intraPath(srcCluster, srcLocal, dstLocal)
+		} else {
+			msg.segs = f.interPath(srcCluster, dstCluster, srcLocal, dstLocal, dst)
 		}
-
-		// Gateways store-and-forward whole messages (the paper's "simple
-		// bi-directional buffers", whose modelled service M·t_cs^{I2}
-		// covers a full message): segment s+1 starts once segment s's
-		// tail has arrived. This is what keeps the gateway's single ICN2
-		// injection port at M·t_cs^{I2} occupancy per message — the
-		// system's saturation behaviour — instead of being throttled to
-		// the slower ECN1 arrival rate, and it decouples the wormhole
-		// dependency chains of the three networks (deadlock freedom).
-		segs := f.interPath(srcCluster, dstCluster, srcLocal, dstLocal, dst)
-		seg3 := func(jn *wormhole.Journey, exits []float64) {
-			msg.segStarts = append(msg.segStarts, jn.Acquire[0])
-			at := exits[len(exits)-1]
-			recycle(jn)
-			j := engine.NewJourney()
-			j.Channels = segs[2]
-			j.Flits = cfg.Msg.Flits
-			j.OnComplete = func(jn3 *wormhole.Journey, ex []float64) {
-				msg.segStarts = append(msg.segStarts, jn3.Acquire[0])
-				deliver(msg, ex[len(ex)-1])
-				recycle(jn3)
-			}
-			engine.Start(j, at)
-		}
-		seg2 := func(jn *wormhole.Journey, exits []float64) {
-			msg.segStarts = append(msg.segStarts, jn.Acquire[0])
-			at := exits[len(exits)-1]
-			recycle(jn)
-			j := engine.NewJourney()
-			j.Channels = segs[1]
-			j.Flits = cfg.Msg.Flits
-			j.OnComplete = seg3
-			engine.Start(j, at)
-		}
-		j := engine.NewJourney()
-		j.Channels = segs[0]
-		j.Flits = cfg.Msg.Flits
-		j.OnComplete = seg2
-		engine.Start(j, at)
+		startSegment(msg, at)
 	}
 
 	// Self-perpetuating generation: the paper keeps generating through
@@ -337,7 +325,7 @@ func Run(cfg Config) (*Metrics, error) {
 	var onArrival func(any)
 	onArrival = func(a any) {
 		if collector.DoneMeasuring() || aborted {
-			return // stop generating; let the calendar drain
+			return // stop generating; let the pending events drain
 		}
 		if inflight >= cfg.MaxBacklog {
 			aborted = true

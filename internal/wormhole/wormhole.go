@@ -110,6 +110,11 @@ type Journey struct {
 	// acquisition, which always precedes every exit time.
 	OnComplete func(j *Journey, exits []float64)
 
+	// Tag is caller data carried with the journey, typically read back
+	// in OnComplete so one shared handler can serve every journey. The
+	// engine never reads it; Recycle clears it.
+	Tag any
+
 	// Acquire[k], filled in by the engine, is the time the head acquired
 	// Channels[k]: row 0 of the start matrix. Exposed for latency
 	// decomposition in tests and stats.
