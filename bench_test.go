@@ -269,8 +269,9 @@ func BenchmarkRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkWormholeJourney measures the channel engine: one contended
-// journey over an 8-channel path, including the flit recurrence.
+// BenchmarkWormholeJourney measures the channel engine: 16 contended
+// journeys of 32 flits over one 8-channel path with the paper's
+// single-flit buffers, whose schedules take the one-pass fill.
 func BenchmarkWormholeJourney(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var k des.Kernel
@@ -281,6 +282,28 @@ func BenchmarkWormholeJourney(b *testing.B) {
 		}
 		for m := 0; m < 16; m++ {
 			e.Start(&wormhole.Journey{Channels: chans, Flits: 32}, float64(m))
+		}
+		k.Run(nil)
+		if e.Completed != 16 {
+			b.Fatal("journeys lost")
+		}
+	}
+}
+
+// BenchmarkWormholeJourneyDeep is BenchmarkWormholeJourney's other side
+// of the engine: 16 journeys of 8 flits over 8 shared channels with
+// 4-flit buffers, whose schedules settle in partial bands from the
+// second grant on (the frontier fill, not the one-pass fill).
+func BenchmarkWormholeJourneyDeep(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		var k des.Kernel
+		e := wormhole.NewEngine(&k)
+		chans := make([]*wormhole.Channel, 8)
+		for j := range chans {
+			chans[j] = e.NewBufferedChannel("c", 0.5, 4)
+		}
+		for m := 0; m < 16; m++ {
+			e.Start(&wormhole.Journey{Channels: chans, Flits: 8}, float64(m))
 		}
 		k.Run(nil)
 		if e.Completed != 16 {

@@ -69,6 +69,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ccsim:", err)
 		return 1
 	}
+	// sim.Config reads a zero depth as the paper's default of 1, so the
+	// flag's own bound is checked here.
+	if *depth < 1 {
+		return fail(fmt.Errorf("-buffer-depth must be >= 1, got %d", *depth))
+	}
 
 	sys, err := systemByName(*system)
 	if err != nil {

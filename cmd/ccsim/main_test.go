@@ -14,7 +14,8 @@ import (
 
 // TestRun exercises the CLI contract: -version exits 0, bad flags exit 2
 // with usage text, bad values exit 1 with a named error, and a tiny
-// simulation succeeds.
+// simulation succeeds, with the paper's single-flit buffers and with
+// 4-flit ones.
 func TestRun(t *testing.T) {
 	clitest.Table(t, run, []clitest.Case{
 		{Name: "version", Args: []string{"-version"}, WantCode: 0, WantStdout: "ccsim version"},
@@ -24,6 +25,9 @@ func TestRun(t *testing.T) {
 		{Name: "unknownSystem", Args: []string{"-system", "bogus"}, WantCode: 1, WantStderr: `unknown system "bogus"`},
 		{Name: "unknownPattern", Args: []string{"-system", "small", "-pattern", "bogus"}, WantCode: 1, WantStderr: `unknown pattern "bogus"`},
 		{Name: "tinySim", Args: []string{"-system", "small", "-lambda", "1e-4", "-warmup", "10", "-measure", "100"}, WantCode: 0, WantStdout: "mean latency"},
+		{Name: "bufferDepthZero", Args: []string{"-system", "small", "-buffer-depth", "0"}, WantCode: 1, WantStderr: "ccsim: -buffer-depth must be >= 1, got 0"},
+		{Name: "bufferDepthNegative", Args: []string{"-system", "small", "-buffer-depth", "-1"}, WantCode: 1, WantStderr: "ccsim: -buffer-depth must be >= 1, got -1"},
+		{Name: "deepBuffers", Args: []string{"-system", "small", "-lambda", "1e-4", "-warmup", "10", "-measure", "100", "-buffer-depth", "4"}, WantCode: 0, WantStdout: "mean latency"},
 	})
 }
 

@@ -33,13 +33,18 @@
 // computes nothing. Otherwise it fills the newly settled cells in one
 // row-major pass — each cell depends only on earlier rows and on the cell
 // to its left — then schedules the releases of the columns whose tail row
-// it reached, in channel order. With single-flit buffers and M ≥ L the
-// whole schedule is one pass at the final acquisition. The engine
-// reproduces the defining wormhole behaviours: the pipeline streams at the
-// rate of the slowest held channel, and a blocked head stalls its body
-// flits in place, holding every upstream channel whose buffers cannot
-// absorb them; with B ≥ message length the behaviour becomes virtual
-// cut-through.
+// it reached, in channel order. This frontier fill, settle, serves the
+// journeys with a deeper buffer after the first channel or with M < L.
+// The paper's journeys — single-flit buffers (B_k = 1 for k ≥ 1) and
+// M ≥ L — settle nothing before the final acquisition, and fillOnePass
+// computes their whole schedule there in one pass with no frontier:
+// behind a one-flit buffer the link term never binds before the last
+// column, so each cell is the max of two terms, bit for bit the cell
+// settle computes. The engine reproduces the defining wormhole
+// behaviours: the pipeline streams at the rate of the slowest held
+// channel, and a blocked head stalls its body flits in place, holding
+// every upstream channel whose buffers cannot absorb them; with
+// B ≥ message length the behaviour becomes virtual cut-through.
 //
 // Journeys may be chained through store-and-forward points (the paper's
 // concentrator/dispatcher buffers) by feeding one journey's per-flit exit
@@ -134,6 +139,11 @@ type Journey struct {
 	ints     []int     // depths (L) | settled (L) | frontier (L)
 	exits    []float64 // d(j, L−1), a view into floats
 	prepared bool
+
+	// onePass is set by prepare when every channel after the first has a
+	// single-flit buffer and Flits ≥ L: nothing settles before the last
+	// grant, which fills the whole schedule with fillOnePass.
+	onePass bool
 }
 
 // Engine drives journeys over a shared event kernel.
@@ -257,24 +267,7 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 	if !j.prepared {
 		// Allocated on first grant, not Start: journeys queued at their
 		// first channel (the source queue) cost no schedule state.
-		// Recycled journeys reuse both slabs outright.
-		L, M := len(j.Channels), j.Flits
-		if cap(j.floats) < L*M+M+L {
-			j.floats = make([]float64, L*M+M+L)
-		}
-		j.floats = j.floats[:L*M+M+L]
-		j.Acquire = j.floats[:L:L]
-		j.exits = j.floats[L*M : L*M+M : L*M+M]
-		if cap(j.ints) < 3*L {
-			j.ints = make([]int, 3*L)
-		}
-		j.ints = j.ints[:3*L]
-		for k, c := range j.Channels {
-			j.floats[L*M+M+k] = c.FlitTime
-			j.ints[k] = c.BufferDepth
-		}
-		clear(j.ints[L : 2*L]) // nothing settled
-		j.prepared = true
+		j.prepare()
 	}
 	j.Acquire[j.idx] = now
 	j.acquired++
@@ -285,13 +278,45 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 		// The head flit reaches the next switch after one flit time.
 		e.K.ScheduleCall(ch.FlitTime, e.requestFn, j)
 	}
-	e.settle(j)
+	switch {
+	case !j.onePass:
+		e.settle(j)
+	case last:
+		e.fillOnePass(j)
+	}
 	if last {
 		e.Completed++
 		if j.OnComplete != nil {
 			j.OnComplete(j, j.exits)
 		}
 	}
+}
+
+// prepare sizes j's slabs for its path and message, reusing a recycled
+// journey's outright, copies each channel's s_k and B_k, and decides
+// whether the schedule takes the one-pass fill.
+func (j *Journey) prepare() {
+	L, M := len(j.Channels), j.Flits
+	if cap(j.floats) < L*M+M+L {
+		j.floats = make([]float64, L*M+M+L)
+	}
+	j.floats = j.floats[:L*M+M+L]
+	j.Acquire = j.floats[:L:L]
+	j.exits = j.floats[L*M : L*M+M : L*M+M]
+	if cap(j.ints) < 3*L {
+		j.ints = make([]int, 3*L)
+	}
+	j.ints = j.ints[:3*L]
+	j.onePass = M >= L
+	for k, c := range j.Channels {
+		j.floats[L*M+M+k] = c.FlitTime
+		j.ints[k] = c.BufferDepth
+		if k > 0 && c.BufferDepth != 1 {
+			j.onePass = false // B_0 never enters the recurrence
+		}
+	}
+	clear(j.ints[L : 2*L]) // nothing settled
+	j.prepared = true
 }
 
 // settle brings the flit schedule up to the frontier that j's
@@ -303,7 +328,9 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 // settle it — the one whose acquisition, made now, it waits on — so no
 // release is scheduled into the past, and releases go out in ascending
 // channel order: the event order does not depend on how the fill is
-// batched.
+// batched. It serves every journey that fillOnePass does not: a buffer
+// deeper than one flit after the first channel, or fewer flits than
+// channels, where cells settle before the last grant.
 func (e *Engine) settle(j *Journey) {
 	L, M, a := len(j.Channels), j.Flits, j.acquired
 	start, s := j.floats[:L*M], j.floats[L*M+M:]
@@ -365,6 +392,50 @@ func (e *Engine) settle(j *Journey) {
 		for fl := range j.exits {
 			j.exits[fl] = start[fl*L+L-1] + s[L-1]
 		}
+	}
+}
+
+// fillOnePass computes a one-pass journey's whole schedule at its last
+// grant: rows 1…M−1 in row-major order, with each exit, then the L
+// releases in ascending channel order — the cells, exits and calls that
+// settle makes at that grant, bit for bit. Behind a one-flit buffer the
+// link term d(fl−1, k) never binds before the last column: the buffer
+// term start(fl−1, k+1) is at least that cell's own arrival term, the
+// same float sum d(fl−1, k), and in row 0 the head requests channel k+1
+// at a_k + s_k and cannot be granted it earlier. max is exact, so
+// dropping a dominated term changes no bit.
+func (e *Engine) fillOnePass(j *Journey) {
+	L, M := len(j.Channels), j.Flits
+	start, s := j.floats[:L*M], j.floats[L*M+M:L*M+M+L]
+	exits, avail := j.exits, j.Avail
+	last := s[L-1]
+	prev := start[:L] // row 0: the acquisition times
+	exits[0] = prev[L-1] + last
+	for fl := 1; fl < M; fl++ {
+		row := start[fl*L : fl*L+L]
+		// in is the arrival: Avail[fl] at column 0, d(fl, k−1) after it.
+		var in float64
+		if avail != nil {
+			in = avail[fl]
+		}
+		for k, sk := range s[:L-1] {
+			st := prev[k+1]
+			if in > st {
+				st = in
+			}
+			row[k] = st
+			in = st + sk
+		}
+		st := prev[L-1] + last
+		if in > st {
+			st = in
+		}
+		row[L-1] = st
+		exits[fl] = st + last
+		prev = row
+	}
+	for k, ch := range j.Channels {
+		e.K.ScheduleCallAt(prev[k]+s[k], e.releaseFn, ch)
 	}
 }
 
