@@ -225,27 +225,14 @@ func optimizeCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var spec *optimize.SearchSpec
-	var err error
-	if arg := fs.Arg(0); arg == "-" {
-		spec, err = optimize.Parse(os.Stdin, "<stdin>")
-	} else {
-		spec, err = optimize.Load(arg)
-	}
+	body, spec, err := loadDoc(fs.Arg(0), "searchspec", optimize.Parse)
 	if err != nil {
 		fmt.Fprintln(stderr, "ccscen:", err)
 		return 1
 	}
-
 	if *ndjson {
-		srv := service.New(service.Options{Workers: *workers})
-		rep, err := srv.RunOptimize(context.Background(), spec, stdout)
-		if err != nil {
-			fmt.Fprintln(stderr, "ccscen:", err)
-			return 1
-		}
-		// stdout is the NDJSON stream; the write notice goes to stderr.
-		return writeReportFile(*outFile, rep, stderr, stderr)
+		_, code := streamNDJSON("optimize", body, *workers, *outFile, stdout, stderr)
+		return code
 	}
 
 	start := time.Now()
@@ -292,12 +279,48 @@ func renderReport(w io.Writer, rep *optimize.Report, elapsed time.Duration) {
 	fmt.Fprintf(w, "(search completed in %v)\n", elapsed.Round(time.Millisecond))
 }
 
-// writeReportFile writes the report JSON to path when requested; a nil
-// report (cached -ndjson answer) skips the write. notice receives the
-// "wrote" confirmation — stderr in -ndjson mode, where stdout must stay
-// pure NDJSON.
-func writeReportFile(path string, rep *optimize.Report, notice, stderr io.Writer) int {
-	if path == "" || rep == nil {
+// loadDoc reads the document arg names (a file, or stdin for "-") and
+// parses it with the verb's loader, keeping the bytes for -ndjson, which
+// hands them to the service as they are. kind prefixes an open failure
+// the way the loaders' Load functions do.
+func loadDoc[T any](arg, kind string, parse func(io.Reader, string) (T, error)) ([]byte, T, error) {
+	var body []byte
+	var err error
+	name := "<stdin>"
+	if arg == "-" {
+		body, err = io.ReadAll(os.Stdin)
+	} else {
+		name = filepath.Base(arg)
+		if body, err = os.ReadFile(arg); err != nil {
+			err = fmt.Errorf("%s: %w", kind, err)
+		}
+	}
+	if err != nil {
+		var zero T
+		return nil, zero, err
+	}
+	doc, err := parse(bytes.NewReader(body), name)
+	return body, doc, err
+}
+
+// streamNDJSON answers body through the service exactly as POST
+// /v1/<endpoint> does, streaming the NDJSON frames to stdout, and
+// returns the result payload after writing it to the -out file (the
+// notice goes to stderr: stdout must stay pure NDJSON).
+func streamNDJSON(endpoint string, body []byte, workers int, outFile string, stdout, stderr io.Writer) ([]byte, int) {
+	srv := service.New(service.Options{Workers: workers})
+	payload, err := srv.Stream(context.Background(), endpoint, body, stdout)
+	if err != nil {
+		fmt.Fprintln(stderr, "ccscen:", err)
+		return nil, 1
+	}
+	return payload, writeReportFile(outFile, json.RawMessage(payload), stderr, stderr)
+}
+
+// writeReportFile writes the report JSON to path when requested. notice
+// receives the "wrote" confirmation.
+func writeReportFile(path string, rep any, notice, stderr io.Writer) int {
+	if path == "" {
 		return 0
 	}
 	b, err := json.Marshal(rep)
@@ -336,13 +359,7 @@ func perfCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var spec *scenario.Spec
-	var err error
-	if arg := fs.Arg(0); arg == "-" {
-		spec, err = scenario.Parse(os.Stdin, "<stdin>")
-	} else {
-		spec, err = scenario.Load(arg)
-	}
+	body, spec, err := loadDoc(fs.Arg(0), "scenario", scenario.Parse)
 	if err != nil {
 		fmt.Fprintln(stderr, "ccscen:", err)
 		return 1
@@ -351,16 +368,9 @@ func perfCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ccscen: scenario %s has no performability block\n", spec.Name)
 		return 1
 	}
-
 	if *ndjson {
-		srv := service.New(service.Options{Workers: *workers})
-		rep, err := srv.RunPerformability(context.Background(), spec, stdout)
-		if err != nil {
-			fmt.Fprintln(stderr, "ccscen:", err)
-			return 1
-		}
-		// stdout is the NDJSON stream; the write notice goes to stderr.
-		return writePerfReportFile(*outFile, rep, stderr, stderr)
+		_, code := streamNDJSON("performability", body, *workers, *outFile, stdout, stderr)
+		return code
 	}
 
 	study, err := spec.PerformabilityStudy()
@@ -379,7 +389,7 @@ func perfCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	renderPerfReport(stdout, rep, time.Since(start))
-	return writePerfReportFile(*outFile, rep, stdout, stderr)
+	return writeReportFile(*outFile, rep, stdout, stderr)
 }
 
 // renderPerfReport prints the performability summary tables.
@@ -423,25 +433,6 @@ func renderPerfReport(w io.Writer, rep *perfab.Report, elapsed time.Duration) {
 	fmt.Fprintf(w, "(analysis completed in %v)\n", elapsed.Round(time.Millisecond))
 }
 
-// writePerfReportFile writes the report JSON to path when requested; a
-// nil report (cached -ndjson answer) skips the write.
-func writePerfReportFile(path string, rep *perfab.Report, notice, stderr io.Writer) int {
-	if path == "" || rep == nil {
-		return 0
-	}
-	b, err := json.Marshal(rep)
-	if err != nil {
-		fmt.Fprintln(stderr, "ccscen:", err)
-		return 1
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		fmt.Fprintln(stderr, "ccscen:", err)
-		return 1
-	}
-	fmt.Fprintf(notice, "wrote %s\n", path)
-	return 0
-}
-
 // fleetCmd runs a time-domain fleet simulation offline: a scenario file
 // with a fleetsim block is loaded, the trajectory's unique states are
 // sharded across the worker pool, and the report prints as a table (or,
@@ -466,13 +457,7 @@ func fleetCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var spec *scenario.Spec
-	var err error
-	if arg := fs.Arg(0); arg == "-" {
-		spec, err = scenario.Parse(os.Stdin, "<stdin>")
-	} else {
-		spec, err = scenario.Load(arg)
-	}
+	body, spec, err := loadDoc(fs.Arg(0), "scenario", scenario.Parse)
 	if err != nil {
 		fmt.Fprintln(stderr, "ccscen:", err)
 		return 1
@@ -481,19 +466,17 @@ func fleetCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ccscen: scenario %s has no fleetsim block\n", spec.Name)
 		return 1
 	}
-
 	if *ndjson {
-		srv := service.New(service.Options{Workers: *workers})
-		rep, err := srv.RunFleetSim(context.Background(), spec, stdout)
-		if err != nil {
+		payload, code := streamNDJSON("fleetsim", body, *workers, *outFile, stdout, stderr)
+		if code != 0 {
+			return code
+		}
+		var rep fleetsim.Report
+		if err := json.Unmarshal(payload, &rep); err != nil {
 			fmt.Fprintln(stderr, "ccscen:", err)
 			return 1
 		}
-		// stdout is the NDJSON stream; the write notice goes to stderr.
-		if code := writeFleetReportFile(*outFile, rep, stderr, stderr); code != 0 {
-			return code
-		}
-		return fleetExitCode(rep, stderr)
+		return fleetExitCode(&rep, stderr)
 	}
 
 	study, err := spec.FleetStudy()
@@ -509,16 +492,15 @@ func fleetCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	renderFleetReport(stdout, rep, time.Since(start))
-	if code := writeFleetReportFile(*outFile, rep, stdout, stderr); code != 0 {
+	if code := writeReportFile(*outFile, rep, stdout, stderr); code != 0 {
 		return code
 	}
 	return fleetExitCode(rep, stderr)
 }
 
-// fleetExitCode maps failed assertions to exit status 1. A nil report
-// (cached -ndjson answer) carries no assertion verdicts to gate on.
+// fleetExitCode maps failed assertions to exit status 1.
 func fleetExitCode(rep *fleetsim.Report, stderr io.Writer) int {
-	if rep == nil || rep.FailedAssertions == 0 {
+	if rep.FailedAssertions == 0 {
 		return 0
 	}
 	fmt.Fprintf(stderr, "ccscen: %d of %d fleet assertion(s) failed\n",
@@ -584,25 +566,6 @@ func renderFleetReport(w io.Writer, rep *fleetsim.Report, elapsed time.Duration)
 		}
 	}
 	fmt.Fprintf(w, "(simulation completed in %v)\n", elapsed.Round(time.Millisecond))
-}
-
-// writeFleetReportFile writes the report JSON to path when requested; a
-// nil report (cached -ndjson answer) skips the write.
-func writeFleetReportFile(path string, rep *fleetsim.Report, notice, stderr io.Writer) int {
-	if path == "" || rep == nil {
-		return 0
-	}
-	b, err := json.Marshal(rep)
-	if err != nil {
-		fmt.Fprintln(stderr, "ccscen:", err)
-		return 1
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		fmt.Fprintln(stderr, "ccscen:", err)
-		return 1
-	}
-	fmt.Fprintf(notice, "wrote %s\n", path)
-	return 0
 }
 
 func runCmd(args []string, stdout, stderr io.Writer) int {

@@ -16,7 +16,6 @@
 package optimize
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -192,14 +191,9 @@ func fieldErr(path, format string, args ...any) error {
 // Parse decodes and validates one search spec from r; name labels the
 // source in error messages.
 func Parse(r io.Reader, name string) (*SearchSpec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s SearchSpec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("searchspec %s: %w", name, scenario.DecodeError(err))
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("searchspec %s: trailing data after the spec object", name)
+	if err := scenario.Decode(r, &s, "spec"); err != nil {
+		return nil, fmt.Errorf("searchspec %s: %w", name, err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("searchspec %s: invalid spec:\n%w", name, err)

@@ -171,12 +171,6 @@ func (r *Router) Pick(key string) (Replica, bool) {
 	return Replica{}, false
 }
 
-// keyedEndpoints are the spec-carrying POST endpoints the router shards
-// by canonical body key. Everything else keyless round-robins.
-var keyedEndpoints = []string{
-	"evaluate", "sweep", "campaign", "batch", "optimize", "performability", "fleetsim",
-}
-
 // Handler builds the route table: keyed POST endpoints, keyless GET
 // passthroughs, the router's own health and metrics, and a typed 404
 // for everything else.
@@ -187,7 +181,9 @@ func (r *Router) Handler() http.Handler {
 	// the "/" catch-all below swallows both, so ServeMux's own 405
 	// dispatch never fires.
 	methods := make(map[string]string)
-	for _, ep := range keyedEndpoints {
+	// The replica's spec-carrying endpoints shard by canonical body key;
+	// everything else keyless round-robins.
+	for _, ep := range service.ComputeEndpoints() {
 		ep := ep
 		mux.HandleFunc("POST /v1/"+ep, func(w http.ResponseWriter, req *http.Request) {
 			r.handleKeyed(w, req, ep)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,15 +16,9 @@ import (
 // carry field paths; name labels the source in error messages (a file
 // name, "<stdin>", …).
 func Parse(r io.Reader, name string) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", name, DecodeError(err))
-	}
-	// A second document in the same stream is almost always a mistake.
-	if dec.More() {
-		return nil, fmt.Errorf("scenario %s: trailing data after the scenario object", name)
+	if err := Decode(r, &s, "scenario"); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", name, err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario %s: invalid spec:\n%w", name, err)
@@ -31,14 +26,41 @@ func Parse(r io.Reader, name string) (*Spec, error) {
 	return &s, nil
 }
 
-// DecodeError rewrites encoding/json's errors into loader language with
-// the offending field path. The HTTP service reuses it so request-body
-// decode errors read like scenario-file errors.
-func DecodeError(err error) error {
-	if te, ok := err.(*json.UnmarshalTypeError); ok && te.Field != "" {
-		return fmt.Errorf("%s: expected %s, got JSON %s", te.Field, te.Type, te.Value)
+// Decode decodes exactly one JSON document from r into dst, rejecting
+// unknown fields and trailing data (a second document in the same stream
+// is almost always a mistake); doc names the object in the trailing-data
+// message. Type errors are rewritten into loader language with the
+// offending field path. The optimizer's loader and the HTTP service
+// decode through it, so every document's decode errors read alike and
+// IsDecodeError recognizes them.
+func Decode(r io.Reader, dst any, doc string) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		if te, ok := err.(*json.UnmarshalTypeError); ok && te.Field != "" {
+			err = fmt.Errorf("%s: expected %s, got JSON %s", te.Field, te.Type, te.Value)
+		}
+		return &decodeError{err}
 	}
-	return err
+	if dec.More() {
+		return &decodeError{fmt.Errorf("trailing data after the %s object", doc)}
+	}
+	return nil
+}
+
+// decodeError marks a Decode failure.
+type decodeError struct{ err error }
+
+func (e *decodeError) Error() string { return e.err.Error() }
+func (e *decodeError) Unwrap() error { return e.err }
+
+// IsDecodeError reports whether err (or an error it wraps) came from
+// Decode: the document itself is broken — malformed JSON, an unknown
+// field, a value of the wrong type, trailing data — as opposed to a
+// document that decoded but failed validation.
+func IsDecodeError(err error) bool {
+	var de *decodeError
+	return errors.As(err, &de)
 }
 
 // Load reads and validates one scenario file.

@@ -87,8 +87,9 @@ func sameAnswer(t *testing.T, what string, a, b *httptest.ResponseRecorder) {
 // aside.
 func counters(s *Server) [13]uint64 {
 	c := s.cache.Stats()
-	return [13]uint64{s.evaluates.Load(), s.sweeps.Load(), s.campaigns.Load(), s.optimizes.Load(),
-		s.perfabs.Load(), s.fleetsims.Load(), s.computes.Load(), s.coalesced.Load(), s.failures.Load(),
+	r := &s.requests
+	return [13]uint64{r[0].Load(), r[1].Load(), r[2].Load(), r[3].Load(),
+		r[4].Load(), r[5].Load(), s.computes.Load(), s.coalesced.Load(), s.failures.Load(),
 		s.writeErrors.Load(), c.Hits, c.Misses, uint64(c.Entries)}
 }
 

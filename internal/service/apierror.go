@@ -16,7 +16,8 @@ const (
 	// JSON, unknown fields, trailing data, oversized body).
 	CodeBadRequest = "bad_request"
 	// CodeInvalidSpec: the body parsed but the spec it carries is
-	// semantically invalid (validation failures, unbuildable systems).
+	// semantically invalid (validation failures, unbuildable systems,
+	// specs the engine rejects, such as a saturating probe rate).
 	CodeInvalidSpec = "invalid_spec"
 	// CodeShardUnavailable: no replica can answer for the request's
 	// shard (router tier; always a 503).
@@ -80,34 +81,41 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// statusFor maps a compute error to its HTTP status: request-caused
-// failures (badRequest-tagged anywhere in the chain) are 400, anything
-// else is the service's fault.
+// requestError is a failure the request caused, tagged with its
+// APIError code. The rule is the same on every surface: a document that
+// does not decode (malformed JSON, unknown field, wrong type, trailing
+// data, unreadable body) is bad_request; one that decodes but fails
+// validation, building or the engine's own spec checks is invalid_spec.
+// Any untagged error — a cancelled context, a service fault — is
+// internal.
+type requestError struct {
+	code string
+	err  error
+}
+
+func (e *requestError) Error() string { return e.err.Error() }
+func (e *requestError) Unwrap() error { return e.err }
+
+func badRequest(err error) error  { return &requestError{code: CodeBadRequest, err: err} }
+func invalidSpec(err error) error { return &requestError{code: CodeInvalidSpec, err: err} }
+
+// statusFor maps an error to its HTTP status: 400 for a failure the
+// request caused, 500 for the service's own.
 func statusFor(err error) int {
-	var br *badRequestError
-	if errors.As(err, &br) {
+	var re *requestError
+	if errors.As(err, &re) {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
 }
 
-// apiErrorFor shapes err into the wire envelope for status. The code is
-// derived, not chosen ad hoc: 400s split into invalid_spec (the spec
-// failed validation — badRequest-tagged) versus bad_request (the body
-// never parsed), 503 is the router's shard_unavailable, and 5xx is
-// internal.
-func apiErrorFor(status int, requestID string, err error) APIError {
+// apiErrorFor shapes err into the wire envelope, with the code its
+// requestError tag carries and internal for anything untagged.
+func apiErrorFor(requestID string, err error) APIError {
 	code := CodeInternal
-	switch {
-	case status == http.StatusServiceUnavailable:
-		code = CodeShardUnavailable
-	case status == http.StatusBadRequest:
-		var br *badRequestError
-		if errors.As(err, &br) {
-			code = CodeInvalidSpec
-		} else {
-			code = CodeBadRequest
-		}
+	var re *requestError
+	if errors.As(err, &re) {
+		code = re.code
 	}
 	ae := APIError{Code: code, Message: err.Error(), RequestID: requestID}
 	if ms := leafMessages(err); len(ms) > 1 {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/ccnet/ccnet/internal/canon"
-	"github.com/ccnet/ccnet/internal/optimize"
 	"github.com/ccnet/ccnet/internal/scenario"
 	"github.com/ccnet/ccnet/internal/version"
 )
@@ -223,15 +222,11 @@ func TestUnifiedFrameSchema(t *testing.T) {
 // kills the search deterministically after the stream has opened.
 func TestStreamErrorFrameIsAPIError(t *testing.T) {
 	srv := New(Options{Workers: 1})
-	spec, err := optimize.Parse(strings.NewReader(
-		`{"name": "frame-err", "space": {"ports": [4], "groups": [{"counts": [4], "treeLevels": [1]}]}, "message": {"flits": 16, "flitBytes": 128}}`), "test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := []byte(`{"name": "frame-err", "space": {"ports": [4], "groups": [{"counts": [4], "treeLevels": [1]}]}, "message": {"flits": 16, "flitBytes": 128}}`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf strings.Builder
-	if _, err := srv.RunOptimize(WithRequestID(ctx, "stream-err-1"), spec, &buf); err == nil {
+	if _, err := srv.Stream(WithRequestID(ctx, "stream-err-1"), "optimize", body, &buf); err == nil {
 		t.Fatal("cancelled search reported no error")
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -1,13 +1,13 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"github.com/ccnet/ccnet/internal/batch"
@@ -38,17 +38,12 @@ type BatchRequest struct {
 // error, so generated pipelines that happen to produce no work degrade
 // gracefully.
 func ParseBatch(r io.Reader) (*BatchRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := scenario.Decode(r, &req, "batch"); err != nil {
 		if errors.Is(err, io.EOF) {
 			return &BatchRequest{}, nil
 		}
-		return nil, scenario.DecodeError(err)
-	}
-	if dec.More() {
-		return nil, errors.New("trailing data after the batch object")
+		return nil, err
 	}
 	if len(req.Items) > batch.MaxItems {
 		return nil, fmt.Errorf("items: %d items exceed the %d-item limit", len(req.Items), batch.MaxItems)
@@ -104,7 +99,7 @@ func (s *Server) RunBatch(ctx context.Context, items []batch.Item, w io.Writer) 
 			Result:   o.Payload,
 		}
 		if o.Err != nil {
-			ae := apiErrorFor(statusFor(o.Err), st.reqID, o.Err)
+			ae := apiErrorFor(st.reqID, o.Err)
 			line.Error = &ae
 		}
 		// An emit failure is the client hanging up mid-stream: abort the
@@ -121,70 +116,40 @@ func (s *Server) RunBatch(ctx context.Context, items []batch.Item, w io.Writer) 
 	return sum, st.emitResult(false, "", payload)
 }
 
-// execBatchItem dispatches one item to the kind's shared compute path.
-// Item errors come back in the Outcome; the batch itself never fails on
-// one item.
+// execBatchItem answers one item through the table row its kind names,
+// under the batch's context: the same parse, key, cache and flight as
+// the row's own endpoint, without progress lines. Item errors come back
+// in the Outcome, prefixed with the item's index; the batch itself
+// never fails on one item.
 func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) batch.Outcome {
-	o := batch.Outcome{}
-	fail := func(err error) batch.Outcome {
-		s.failures.Add(1)
-		o.Err = err
-		return o
-	}
-	if len(it.Spec) == 0 {
-		return fail(badRequest(fmt.Errorf("item %d: spec: required", index)))
-	}
-	var payload []byte
-	var key canon.Key
-	var class string
-	var err error
-	switch it.Kind {
-	case "evaluate":
-		var req EvaluateRequest
-		if derr := decodeStrict(it.Spec, &req, "spec"); derr != nil {
-			return fail(badRequest(fmt.Errorf("item %d: %w", index, derr)))
-		}
-		payload, key, class, err = s.evaluate(ctx, &req)
-	case "sweep":
-		var req SweepRequest
-		if derr := decodeStrict(it.Spec, &req, "spec"); derr != nil {
-			return fail(badRequest(fmt.Errorf("item %d: %w", index, derr)))
-		}
-		payload, key, class, err = s.sweep(ctx, &req)
-	case "campaign":
-		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
-		if perr != nil {
-			return fail(badRequest(perr))
-		}
-		payload, key, class, err = s.campaign(ctx, spec)
-	case "performability":
-		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
-		if perr != nil {
-			return fail(badRequest(perr))
-		}
-		if spec.Performability == nil {
-			return fail(badRequest(fmt.Errorf("item %d: performability: section required", index)))
-		}
-		payload, key, class, err = s.performability(ctx, spec)
-	case "fleetsim":
-		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
-		if perr != nil {
-			return fail(badRequest(perr))
-		}
-		if spec.FleetSim == nil {
-			return fail(badRequest(fmt.Errorf("item %d: fleetsim: section required", index)))
-		}
-		payload, key, class, err = s.fleetsimItem(ctx, spec)
-	default:
-		return fail(badRequest(fmt.Errorf("item %d: kind: unknown kind %q (valid: evaluate, sweep, campaign, performability, fleetsim)", index, it.Kind)))
-	}
+	payload, key, class, err := s.answerItem(ctx, it)
 	if err != nil {
-		return fail(fmt.Errorf("item %d: %w", index, err))
+		s.failures.Add(1)
+		return batch.Outcome{Err: fmt.Errorf("item %d: %w", index, err)}
 	}
-	o.Payload = payload
-	o.Key = string(key)
-	o.Cached = cachedClass(class)
-	return o
+	return batch.Outcome{Payload: payload, Key: string(key), Cached: cachedClass(class)}
+}
+
+// answerItem looks the item's kind up in the table and runs the row.
+func (s *Server) answerItem(ctx context.Context, it batch.Item) ([]byte, canon.Key, string, error) {
+	if len(it.Spec) == 0 {
+		return nil, "", "", invalidSpec(errors.New("spec: required"))
+	}
+	row := rowIndex(it.Kind)
+	if row < 0 || !endpoints[row].batch {
+		var kinds []string
+		for i := range endpoints {
+			if endpoints[i].batch {
+				kinds = append(kinds, endpoints[i].name)
+			}
+		}
+		return nil, "", "", invalidSpec(fmt.Errorf("kind: unknown kind %q (valid: %s)", it.Kind, strings.Join(kinds, ", ")))
+	}
+	req, err := parse(ctx, &endpoints[row], it.Spec, "spec")
+	if err != nil {
+		return nil, "", "", err
+	}
+	return s.answer(ctx, req, noProgress)
 }
 
 // handleBatch serves POST /v1/batch: the request is decoded up front
@@ -195,7 +160,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
 	req, err := ParseBatch(r.Body)
 	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
+		s.fail(w, r, badRequest(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

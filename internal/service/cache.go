@@ -6,6 +6,9 @@
 // in a bytes- and entry-bounded LRU with TTL — while GET /v1/healthz and
 // /v1/stats report liveness and cache effectiveness. An exact repeat of
 // an answered body is found by its body digest before it is decoded.
+// Every keyed endpoint is one row of the table in endpoints.go, and one
+// pipeline (pipeline.go) serves each row over HTTP, as a batch item and
+// through Server.Stream.
 package service
 
 import (

@@ -68,20 +68,12 @@ func (s *Server) initMetrics() {
 
 	// Request totals mirror /v1/stats: same atomics, read at scrape.
 	const reqHelp = "Requests accepted per compute endpoint (including invalid ones)."
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.evaluates.Load()) }, "endpoint", "evaluate")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.sweeps.Load()) }, "endpoint", "sweep")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.campaigns.Load()) }, "endpoint", "campaign")
+	for i := range endpoints {
+		reg.CounterFunc("ccserved_requests_total", reqHelp,
+			func() float64 { return float64(s.requests[i].Load()) }, "endpoint", endpoints[i].name)
+	}
 	reg.CounterFunc("ccserved_requests_total", reqHelp,
 		func() float64 { return float64(s.batches.Load()) }, "endpoint", "batch")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.optimizes.Load()) }, "endpoint", "optimize")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.perfabs.Load()) }, "endpoint", "performability")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.fleetsims.Load()) }, "endpoint", "fleetsim")
 	reg.CounterFunc("ccserved_batch_items_total", "Batch items accepted.",
 		func() float64 { return float64(s.batchItems.Load()) })
 	reg.CounterFunc("ccserved_computes_total",
@@ -148,8 +140,10 @@ func endpointLabel(path string) string {
 	name := strings.TrimPrefix(path, "/v1/")
 	name = strings.TrimPrefix(name, "/")
 	switch name {
-	case "evaluate", "sweep", "campaign", "batch", "optimize", "performability",
-		"fleetsim", "healthz", "stats", "metrics", "version", "traces":
+	case "batch", "healthz", "stats", "metrics", "version", "traces":
+		return name
+	}
+	if rowIndex(name) >= 0 {
 		return name
 	}
 	return "other"

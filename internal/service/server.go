@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -20,7 +17,6 @@ import (
 	"github.com/ccnet/ccnet/internal/canon"
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/core"
-	"github.com/ccnet/ccnet/internal/netchar"
 	"github.com/ccnet/ccnet/internal/reqtrace"
 	"github.com/ccnet/ccnet/internal/scenario"
 	"github.com/ccnet/ccnet/internal/version"
@@ -67,14 +63,10 @@ type Server struct {
 	// streaming tests substitute gated executors.
 	exec batch.Exec
 
-	evaluates   atomic.Uint64
-	sweeps      atomic.Uint64
-	campaigns   atomic.Uint64
+	// requests counts the requests accepted per endpoint-table row.
+	requests    [len(endpoints)]atomic.Uint64
 	batches     atomic.Uint64
 	batchItems  atomic.Uint64
-	optimizes   atomic.Uint64
-	perfabs     atomic.Uint64
-	fleetsims   atomic.Uint64
 	computes    atomic.Uint64
 	coalesced   atomic.Uint64
 	failures    atomic.Uint64
@@ -149,13 +141,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.Handle("GET /metrics", s.m.reg.Handler())
 	mux.Handle("GET /v1/traces", s.opt.Tracer.Handler())
-	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/campaign", s.handleCampaign)
+	for i := range endpoints {
+		mux.HandleFunc("POST /v1/"+endpoints[i].name, s.handle(i))
+	}
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	mux.HandleFunc("POST /v1/performability", s.handlePerformability)
-	mux.HandleFunc("POST /v1/fleetsim", s.handleFleetSim)
 	return s.instrument(mux)
 }
 
@@ -348,14 +337,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
 		Workers:       s.workers(),
-		Evaluates:     s.evaluates.Load(),
-		Sweeps:        s.sweeps.Load(),
-		Campaigns:     s.campaigns.Load(),
+		Evaluates:     s.requestCount("evaluate"),
+		Sweeps:        s.requestCount("sweep"),
+		Campaigns:     s.requestCount("campaign"),
 		Batches:       s.batches.Load(),
 		BatchItems:    s.batchItems.Load(),
-		Optimizes:     s.optimizes.Load(),
-		Perfabs:       s.perfabs.Load(),
-		FleetSims:     s.fleetsims.Load(),
+		Optimizes:     s.requestCount("optimize"),
+		Perfabs:       s.requestCount("performability"),
+		FleetSims:     s.requestCount("fleetsim"),
 		Computes:      s.computes.Load(),
 		Coalesced:     s.coalesced.Load(),
 		Failures:      s.failures.Load(),
@@ -364,331 +353,16 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	s.evaluates.Add(1)
-	body, digest, answered := s.answerRepeat(w, r, "evaluate")
-	if answered {
-		return
-	}
-	var req EvaluateRequest
-	if err := decodeTraced(r.Context(), body, &req); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	payload, key, class, err := s.evaluate(r.Context(), &req)
-	s.finish(w, r, digest, key, payload, class, err)
-}
-
-// evaluate validates and computes one evaluate request through the
-// cache; the HTTP handler and the batch executor share it. Errors caused
-// by the request are badRequest-tagged.
-func (s *Server) evaluate(ctx context.Context, req *EvaluateRequest) (payload []byte, key canon.Key, class string, err error) {
-	var errs []error
-	if err := req.System.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	errs = append(errs, req.Message.validate()...)
-	if err := req.Model.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if req.Lambda <= 0 || math.IsNaN(req.Lambda) || math.IsInf(req.Lambda, 0) {
-		errs = append(errs, fmt.Errorf("lambda: must be a positive finite rate, got %v", req.Lambda))
-	}
-	if len(errs) > 0 {
-		return nil, "", "", badRequest(errors.Join(errs...))
-	}
-	sys, err := req.System.Build("request")
-	if err != nil {
-		return nil, "", "", badRequest(err)
-	}
-
-	msg := netchar.MessageSpec{Flits: req.Message.Flits, FlitBytes: req.Message.FlitBytes}
-	opt := req.Model.Options(req.StoreAndForward)
-	sp := reqtrace.FromContext(ctx).StartSpan("canon")
-	key, err = canon.Hash("evaluate", hashableSystem(sys), msg, opt, req.Lambda)
-	sp.EndErr(err)
-	if err != nil {
-		return nil, "", "", err
-	}
-
-	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
-		m, err := core.New(sys, msg, opt)
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		res := m.Evaluate(req.Lambda)
-		return json.Marshal(EvaluateResult{System: systemInfo(sys), PointJSON: pointJSON(res)})
-	})
-	return payload, key, class, err
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.sweeps.Add(1)
-	body, digest, answered := s.answerRepeat(w, r, "sweep")
-	if answered {
-		return
-	}
-	var req SweepRequest
-	if err := decodeTraced(r.Context(), body, &req); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	payload, key, class, err := s.sweep(r.Context(), &req)
-	s.finish(w, r, digest, key, payload, class, err)
-}
-
-// sweep validates and computes one sweep request through the cache; the
-// HTTP handler and the batch executor share it.
-func (s *Server) sweep(ctx context.Context, req *SweepRequest) (payload []byte, key canon.Key, class string, err error) {
-	var errs []error
-	if err := req.System.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	errs = append(errs, req.Message.validate()...)
-	if err := req.Model.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := req.Lambda.Validate("lambda"); err != nil {
-		errs = append(errs, err)
-	}
-	if len(errs) > 0 {
-		return nil, "", "", badRequest(errors.Join(errs...))
-	}
-	sys, err := req.System.Build("request")
-	if err != nil {
-		return nil, "", "", badRequest(err)
-	}
-
-	// A synthetic one-series spec reuses the scenario engine's model
-	// construction and grid materialization (including auto grids).
-	spec := &scenario.Spec{
-		Name:   "sweep",
-		System: req.System,
-		Traffic: scenario.TrafficSpec{
-			Flits:     req.Message.Flits,
-			FlitBytes: []int{req.Message.FlitBytes},
-			Lambda:    req.Lambda,
-		},
-		Model: req.Model,
-	}
-	msg := netchar.MessageSpec{Flits: req.Message.Flits, FlitBytes: req.Message.FlitBytes}
-	opt := req.Model.Options(req.StoreAndForward)
-
-	// Explicit grids resolve without building any model and key on the
-	// materialized rates. Auto grids would need the paper model's
-	// saturation bisection just to materialize — so they key on the
-	// resolved inputs instead (the grid is a pure function of them) and
-	// defer materialization to the compute path, keeping cache hits cheap
-	// on both shapes.
-	var grid []float64
-	if !req.Lambda.Auto {
-		if grid, err = spec.Grid(nil); err != nil {
-			return nil, "", "", badRequest(err)
-		}
-	}
-	sp := reqtrace.FromContext(ctx).StartSpan("canon")
-	if req.Lambda.Auto {
-		la := req.Lambda
-		if la.AutoFraction == 0 {
-			la.AutoFraction = 0.95 // the documented default; hash it resolved
-		}
-		key, err = canon.Hash("sweep-auto", hashableSystem(sys), msg, opt, la)
-	} else {
-		key, err = canon.Hash("sweep", hashableSystem(sys), msg, opt, grid)
-	}
-	sp.EndErr(err)
-	if err != nil {
-		return nil, "", "", err
-	}
-
-	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
-		g := grid
-		var models []*core.Model
-		if g == nil { // auto grid: materialize from the paper model
-			paper, err := spec.BuildModels(sys, false)
-			if err != nil {
-				return nil, badRequest(err)
-			}
-			if g, err = spec.Grid(paper); err != nil {
-				return nil, badRequest(err)
-			}
-			if !req.StoreAndForward {
-				models = paper
-			}
-		}
-		if models == nil {
-			var err error
-			if models, err = spec.BuildModels(sys, req.StoreAndForward); err != nil {
-				return nil, badRequest(err)
-			}
-		}
-		m := models[0]
-		out := SweepResult{
-			System:          systemInfo(sys),
-			SaturationPoint: m.SaturationPoint(1.0, 1e-4),
-		}
-		for _, res := range m.SweepParallel(g, s.workers()) {
-			out.Points = append(out.Points, pointJSON(res))
-		}
-		return json.Marshal(out)
-	})
-	return payload, key, class, err
-}
-
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	s.campaigns.Add(1)
-	spec, digest, answered := s.parseScenario(w, r, "campaign")
-	if answered {
-		return
-	}
-	payload, key, class, err := s.campaign(r.Context(), spec)
-	s.finish(w, r, digest, key, payload, class, err)
-}
-
-// campaign computes one parsed scenario through the cache; the HTTP
-// handler and the batch executor share it.
-func (s *Server) campaign(ctx context.Context, spec *scenario.Spec) (payload []byte, key canon.Key, class string, err error) {
-	sp := reqtrace.FromContext(ctx).StartSpan("canon")
-	key, err = specKey("campaign", spec)
-	sp.EndErr(err)
-	if err != nil {
-		return nil, "", "", err
-	}
-
-	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
-		runner := &scenario.Runner{Workers: s.workers()}
-		o := runner.Run([]*scenario.Spec{spec})[0]
-		if o.Err != nil {
-			return nil, badRequest(fmt.Errorf("scenario %s: %w", spec.Name, o.Err))
-		}
-		out := CampaignResult{
-			Name:   o.Result.ID,
-			Title:  o.Result.Title,
-			System: systemInfo(o.Sys),
-			Passed: o.Passed(),
-			Notes:  o.Result.Notes,
-		}
-		for _, series := range o.Result.Series {
-			cs := CampaignSeries{Label: series.Label}
-			for _, p := range series.Points {
-				cs.Points = append(cs.Points, CampaignPoint{
-					Lambda:     p.Lambda,
-					Analysis:   num(p.Analysis),
-					AnalysisSF: num(p.AnalysisSF),
-					Simulation: num(p.Simulation),
-					SimCI:      num(p.SimCI),
-				})
-			}
-			out.Series = append(out.Series, cs)
-		}
-		for _, a := range o.Assertions {
-			out.Assertions = append(out.Assertions, AssertionJSON{
-				Type: a.Spec.Type, Pass: a.Pass, Detail: a.Detail,
-			})
-		}
-		return json.Marshal(out)
-	})
-	return payload, key, class, err
-}
-
-// specKey hashes a scenario spec (campaign, performability or fleetsim)
-// for endpoint with the one default the runners apply themselves
-// resolved, so "seed omitted" and "seed": 1 share a cache entry.
-func specKey(endpoint string, spec *scenario.Spec) (canon.Key, error) {
-	norm := *spec
-	if norm.Seed == 0 {
-		norm.Seed = 1
-	}
-	return canon.Hash(endpoint, norm)
-}
-
 // --- plumbing --------------------------------------------------------------
+
+// requestCount returns how many requests the row named name accepted.
+func (s *Server) requestCount(name string) uint64 { return s.requests[rowIndex(name)].Load() }
 
 func (s *Server) workers() int {
 	if s.opt.Workers > 0 {
 		return s.opt.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// do answers key from the cache, or computes through the singleflight
-// group (so concurrent identical requests compute once) and caches the
-// successful payload. class reports how the answer was produced:
-// classHit (cache), classCoalesced (shared a concurrent identical
-// computation) or classMiss (computed here). The stage spans land on
-// the request's trace: "cache" for the lookup, "compute" on the caller
-// that ran the computation, "wait" on callers that coalesced onto it.
-func (s *Server) do(ctx context.Context, key canon.Key, compute func() ([]byte, error)) (payload []byte, class string, err error) {
-	tr := reqtrace.FromContext(ctx)
-	cs := tr.StartSpan("cache")
-	if v, ok := s.cache.Get(key); ok {
-		cs.Attr(hitAttr, viaKey).End()
-		return v, classHit, nil
-	}
-	cs.Attr(viaKey).End()
-	flightStart := time.Now()
-	v, err, shared := s.flight.Do(string(key), func() ([]byte, error) {
-		s.computes.Add(1)
-		sp := tr.StartSpan("compute")
-		v, err := compute()
-		sp.EndErr(err)
-		if err == nil {
-			s.cache.Put(key, v)
-		}
-		return v, err
-	})
-	if shared {
-		s.coalesced.Add(1)
-		tr.RecordSpan("wait", flightStart, time.Since(flightStart)).
-			Attr(reqtrace.String("class", classCoalesced))
-		return v, classCoalesced, err
-	}
-	return v, classMiss, err
-}
-
-// Attributes of the "cache" span: how the entry was looked up (by body
-// digest before decoding, or by canonical key after it), and class=hit
-// when the lookup answered.
-var (
-	hitAttr = reqtrace.String("class", classHit)
-	viaBody = reqtrace.String("via", "body")
-	viaKey  = reqtrace.String("via", "key")
-)
-
-// answerRepeat is the first step of every keyed single-spec endpoint: it
-// reads the body once and looks its BodyDigest up in the result cache
-// before anything is decoded. An exact repeat of an answered body gets
-// the same response a cache hit on its canonical key gets — the
-// envelope, or the single NDJSON result frame — and answered is true,
-// as it is when the body cannot be read (a 400). Otherwise the caller
-// decodes body and hands digest to finish or runStream, which alias it
-// to the entry once the request has succeeded.
-func (s *Server) answerRepeat(w http.ResponseWriter, r *http.Request, endpoint string) (body []byte, digest BodyDigest, answered bool) {
-	cs := reqtrace.FromContext(r.Context()).StartSpan("cache")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		cs.EndErr(err)
-		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
-		return nil, digest, true
-	}
-	digest = digestBody(endpoint, body)
-	key, payload, ok := s.cache.GetAlias(digest)
-	if !ok {
-		cs.Attr(viaBody).End()
-		return body, digest, false
-	}
-	cs.Attr(hitAttr, viaBody).End()
-	switch endpoint {
-	case "evaluate", "sweep", "campaign":
-		s.finish(w, r, BodyDigest{}, key, payload, classHit, nil)
-	default:
-		startStream(w)
-		st, done := s.newStream(r.Context(), endpoint, w)
-		defer done()
-		setHitClass(w, classHit)
-		_ = st.emitResult(true, key, payload)
-	}
-	return nil, digest, true
 }
 
 // cachedClass reports whether class avoided its own computation (the
@@ -702,7 +376,7 @@ func cachedClass(class string) bool { return class == classHit || class == class
 // for the histogram label.
 func (s *Server) finish(w http.ResponseWriter, r *http.Request, digest BodyDigest, key canon.Key, payload []byte, class string, err error) {
 	if err != nil {
-		s.fail(w, r, statusFor(err), err)
+		s.fail(w, r, err)
 		return
 	}
 	s.cache.AddAlias(digest, key)
@@ -742,11 +416,12 @@ func appendResult(dst []byte, frame, cached bool, key canon.Key, payload []byte)
 }
 
 // fail answers a request with the typed APIError envelope — the only
-// non-2xx body shape the v1 API emits — annotates the trace, and logs
-// one structured line when a logger is configured.
-func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, err error) {
+// non-2xx body shape the v1 API emits — at err's status, annotates the
+// trace, and logs one structured line when a logger is configured.
+func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	s.failures.Add(1)
-	ae := apiErrorFor(status, RequestIDFrom(r.Context()), err)
+	status := statusFor(err)
+	ae := apiErrorFor(RequestIDFrom(r.Context()), err)
 	tr := reqtrace.FromContext(r.Context())
 	tr.SetError(ae.Message)
 	if s.opt.Log != nil {
@@ -764,59 +439,6 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, err er
 		s.opt.Log.LogAttrs(r.Context(), slog.LevelWarn, "request failed", attrs...)
 	}
 	s.writeJSON(w, status, ae)
-}
-
-// badRequestError marks compute-time failures caused by the request
-// (rather than the service), so finish maps them to 400.
-type badRequestError struct{ err error }
-
-func (e *badRequestError) Error() string { return e.err.Error() }
-func (e *badRequestError) Unwrap() error { return e.err }
-
-func badRequest(err error) error { return &badRequestError{err: err} }
-
-// decodeTraced is decodeStrict with the "decode" stage span on the
-// request's trace (the parse of an evaluate or sweep body).
-func decodeTraced(ctx context.Context, body []byte, dst any) error {
-	sp := reqtrace.FromContext(ctx).StartSpan("decode")
-	err := decodeStrict(body, dst, "request")
-	sp.EndErr(err)
-	return err
-}
-
-// parseScenario is the first step of the scenario-spec endpoints
-// (campaign, performability, fleetsim): answerRepeat, then the traced
-// parse of a body it did not answer. A parse failure is answered with
-// a 400.
-func (s *Server) parseScenario(w http.ResponseWriter, r *http.Request, endpoint string) (spec *scenario.Spec, digest BodyDigest, answered bool) {
-	body, digest, answered := s.answerRepeat(w, r, endpoint)
-	if answered {
-		return nil, digest, true
-	}
-	sp := reqtrace.FromContext(r.Context()).StartSpan("decode")
-	spec, err := scenario.Parse(bytes.NewReader(body), "request")
-	sp.EndErr(err)
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, badRequest(err))
-		return nil, digest, true
-	}
-	return spec, digest, false
-}
-
-// decodeStrict decodes a single JSON document (a request body or a
-// batch item's spec) into dst, rejecting unknown fields and trailing
-// data, with decode errors rewritten into the scenario loader's
-// field-path language.
-func decodeStrict(data []byte, dst any, doc string) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return scenario.DecodeError(err)
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after the %s object", doc)
-	}
-	return nil
 }
 
 // writeJSON writes one JSON response body. An encode failure here means

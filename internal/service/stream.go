@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sync"
 
 	"github.com/ccnet/ccnet/internal/canon"
 	"github.com/ccnet/ccnet/internal/fleetsim"
@@ -94,6 +95,11 @@ type stream struct {
 	flusher http.Flusher
 	lines   *metrics.Counter
 	reqID   string
+
+	// mu orders progress writes, which come from the computation's
+	// goroutine, against detach; closed ends them.
+	mu     sync.Mutex
+	closed bool
 }
 
 // newStream opens the per-endpoint stream accounting; the returned
@@ -117,6 +123,26 @@ func (s *Server) newStream(ctx context.Context, endpoint string, w io.Writer) (*
 // returned so the caller can stop streaming.
 func (st *stream) emit(line any) error {
 	return st.sent(st.enc.Encode(line))
+}
+
+// progress writes one progress frame of a computation this stream's
+// caller started. After a failed write (the client is gone) or detach,
+// the computation keeps going for the requests sharing it, and its
+// lines are dropped.
+func (st *stream) progress(line any) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.closed && st.emit(line) != nil {
+		st.closed = true
+	}
+}
+
+// detach ends progress: once it returns, no progress line is being
+// written or will be.
+func (st *stream) detach() {
+	st.mu.Lock()
+	st.closed = true
+	st.mu.Unlock()
 }
 
 // emitResult writes the terminal success frame, its bytes assembled
@@ -143,7 +169,7 @@ func (st *stream) sent(err error) error {
 // emitError writes the terminal in-band error frame. Encode errors here
 // mean the client is gone — nothing left to tell it.
 func (st *stream) emitError(err error) {
-	_ = st.emit(ErrorLine{Kind: FrameError, Error: apiErrorFor(statusFor(err), st.reqID, err)})
+	_ = st.emit(ErrorLine{Kind: FrameError, Error: apiErrorFor(st.reqID, err)})
 }
 
 // startStream commits a streaming endpoint's 200 and NDJSON content
@@ -154,39 +180,26 @@ func startStream(w http.ResponseWriter) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// runStream answers one optimize, performability or fleetsim request
-// through the cache under key: a cached or coalesced answer is the
-// single terminal result frame, while the caller that computes streams
-// the progress frames compute emits first. A failure becomes the
-// terminal error frame. On success digest (zero when there is no
-// request body) is aliased to the entry under key.
-func (s *Server) runStream(ctx context.Context, endpoint string, w io.Writer, digest BodyDigest,
-	keyOf func() (canon.Key, error), compute func(emit func(line any)) ([]byte, error)) error {
-	st, done := s.newStream(ctx, endpoint, w)
+// runStream answers one parsed request of a streaming row as NDJSON on
+// w: a cached or coalesced answer is the single terminal result frame,
+// while the caller that starts the computation streams its progress
+// frames first. A failure becomes the terminal error frame. On success
+// digest (zero when there is no request body) is aliased to the entry
+// under key, and the result payload is returned.
+func (s *Server) runStream(ctx context.Context, e *endpoint, req request, w io.Writer, digest BodyDigest) ([]byte, error) {
+	st, done := s.newStream(ctx, e.name, w)
 	defer done()
-	tr := reqtrace.FromContext(ctx)
-	sp := tr.StartSpan("canon")
-	key, err := keyOf()
-	sp.EndErr(err)
-	var payload []byte
-	var class string
-	if err == nil {
-		payload, class, err = s.do(ctx, key, func() ([]byte, error) {
-			var emitErr error
-			return compute(func(line any) {
-				if emitErr == nil { // after a failed write the client is gone; keep computing for the sharers
-					emitErr = st.emit(line)
-				}
-			})
-		})
-		setHitClass(w, class)
-	}
+	payload, key, class, err := s.answer(ctx, req, st.progress)
+	// The computation may outlive this caller while other requests wait
+	// on it; from here on it writes nothing more to w.
+	st.detach()
+	setHitClass(w, class)
 	if err != nil {
 		s.failures.Add(1)
-		tr.SetError(err.Error())
+		reqtrace.FromContext(ctx).SetError(err.Error())
 		st.emitError(err) // streaming has begun: report the failure in-band
-		return err
+		return nil, err
 	}
 	s.cache.AddAlias(digest, key)
-	return st.emitResult(cachedClass(class), key, payload)
+	return payload, st.emitResult(cachedClass(class), key, payload)
 }
