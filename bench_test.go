@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section (DESIGN.md §7 maps each to its experiment), plus
+// evaluation section (internal/experiments holds each experiment), plus
 // microbenchmarks of the load-bearing components. Figure benchmarks run
 // reduced message counts so `go test -bench=.` stays in tens of seconds;
-// use cmd/ccexp for the full paper-scale runs recorded in EXPERIMENTS.md.
+// use cmd/ccexp for the full paper-scale runs.
 //
 // Each figure benchmark logs the regenerated rows (run with -v to see
 // them) and reports the light-load model-vs-simulation error as a custom
@@ -107,7 +107,7 @@ func BenchmarkFig6(b *testing.B) { benchFigure(b, experiments.Fig6) }
 func BenchmarkFig7(b *testing.B) { benchFigure(b, experiments.Fig7) }
 
 // BenchmarkAblationVariants compares the documented model variants
-// (DESIGN.md §6) over the Fig 3 grid.
+// (core.Variant and the core.Options switches) over the Fig 3 grid.
 func BenchmarkAblationVariants(b *testing.B) { benchFigure(b, experiments.Ablation) }
 
 // BenchmarkNonUniform exercises the paper's future-work extension:
@@ -716,9 +716,9 @@ func BenchmarkFleetSimEpochs(b *testing.B) {
 // BenchmarkOptimizeNeighbor measures the search engine's neighbor-walk
 // hot loop: a beam search over the ~1.7k-candidate grid space, where
 // successive candidates differ in one axis by construction and each
-// worker's precompute handle serves the unchanged pair-class tables and
-// distance distributions from cache. Compare candidates/op against
-// BenchmarkOptimizeGrid's cold enumeration to see the incremental win.
+// worker's precompute handle serves the distance distributions from
+// cache and lends every build its pair-cell slab. Compare candidates/op
+// against BenchmarkOptimizeGrid's cold enumeration.
 // Gated by the CI perf-regression diff against the committed baseline.
 func BenchmarkOptimizeNeighbor(b *testing.B) {
 	spec, err := optimize.Parse(strings.NewReader(`{

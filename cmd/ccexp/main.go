@@ -1,5 +1,5 @@
-// Command ccexp regenerates the paper's tables and figures (see DESIGN.md
-// §7 for the experiment index) and writes CSV and/or human-readable
+// Command ccexp regenerates the paper's tables and figures (ccexp -h
+// lists the experiment ids) and writes CSV and/or human-readable
 // output.
 //
 // Examples:

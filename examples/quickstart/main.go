@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// The analytical model (with the store-and-forward gateway term that
-	// matches the concrete simulator; see DESIGN.md §6).
+	// matches the concrete simulator; see core.Options).
 	model, err := core.New(sys, msg, core.Options{GatewayStoreAndForward: true})
 	if err != nil {
 		log.Fatal(err)

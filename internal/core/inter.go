@@ -55,42 +55,47 @@ type pairClass struct {
 
 // precomputePairs fills m.pairs for every ordered class pair that can
 // occur (src ≠ dst cluster; a class pairs with itself only when it has
-// at least two members). With a precompute handle, pair tables are
-// looked up by their full input key and shared read-only across models
-// — a cache hit returns exactly the bytes a cold build would produce.
+// at least two members). The pair classes' cells are carved from one
+// slab: the handle's when there is one, which its next build reuses.
 func (m *Model) precomputePairs(pre *Precompute) {
 	members := make([]int, m.nClasses)
 	for _, c := range m.classOf {
 		members[c]++
 	}
+	total := 0
+	for a, i := range m.classRep {
+		for b, j := range m.classRep {
+			if a != b || members[a] >= 2 {
+				total += m.cl[i].n * m.cl[j].n * m.nc
+			}
+		}
+	}
+	var slab []float64
+	if pre != nil {
+		if cap(pre.cells) < total {
+			pre.cells = make([]float64, total)
+		}
+		slab = pre.cells[:total]
+	} else {
+		slab = make([]float64, total)
+	}
 	m.pairs = make([]pairClass, m.nClasses*m.nClasses)
-	for a := 0; a < m.nClasses; a++ {
-		for b := 0; b < m.nClasses; b++ {
+	for a, i := range m.classRep {
+		for b, j := range m.classRep {
 			if a == b && members[a] < 2 {
 				continue // no ordered pair of distinct clusters exists
 			}
-			i, j := m.classRep[a], m.classRep[b]
-			if pre == nil {
-				m.pairs[a*m.nClasses+b] = m.buildPairClass(i, j)
-				continue
-			}
-			key := m.pairKeyFor(i, j)
-			pc, ok := pre.pairs[key]
-			if !ok {
-				pc = m.buildPairClass(i, j)
-				if len(pre.pairs) >= prePairCap {
-					clear(pre.pairs)
-				}
-				pre.pairs[key] = pc
-			}
-			m.pairs[a*m.nClasses+b] = pc
+			n := m.cl[i].n * m.cl[j].n * m.nc
+			m.pairs[a*m.nClasses+b] = m.buildPairClass(i, j, slab[:0:n])
+			slab = slab[n:]
 		}
 	}
 }
 
 // buildPairClass derives the λ-independent pair terms from a
-// representative cluster pair (i, j) of the two classes.
-func (m *Model) buildPairClass(i, j int) pairClass {
+// representative cluster pair (i, j) of the two classes, appending the
+// cells to cells (capacity n_i·n_j·n_c).
+func (m *Model) buildPairClass(i, j int, cells []float64) pairClass {
 	src := &m.cl[i]
 	dst := &m.cl[j]
 	M := float64(m.Msg.Flits)
@@ -98,7 +103,7 @@ func (m *Model) buildPairClass(i, j int) pairClass {
 	pc := pairClass{
 		nr:       src.n,
 		nv:       dst.n,
-		cells:    make([]float64, 0, src.n*dst.n*m.nc),
+		cells:    cells,
 		tcsE1Src: src.tcsE1,
 		tcsE1Dst: dst.tcsE1,
 		tcnE1Src: src.tcnE1,
@@ -224,20 +229,34 @@ func (m *Model) cellLatencies(pc *pairClass, etaSrc, etaI2, etaDst float64, ts [
 	}
 }
 
-// crossingLatency returns Eqs 20–21, 26–30: the merged-unit latency
-// averaged over pc's (r, v, l) crossing-length cells, summed in cell
-// order, with buf as the cell scratch.
-func (m *Model) crossingLatency(pc *pairClass, etaSrc, etaI2, etaDst float64, buf *cellBuf) float64 {
+// crossingLatency returns Eqs 20–21, 26–30 at lambdaG: the merged-unit
+// latency averaged over pc's (r, v, l) crossing-length cells, summed in
+// cell order, with buf as the cell scratch. Eq 28's relaxing factor is
+// folded into the ICN2 rate.
+func (m *Model) crossingLatency(pc *pairClass, lambdaG float64, buf *cellBuf) float64 {
 	ts := buf[:]
 	if len(pc.cells) > len(ts) {
 		ts = make([]float64, len(pc.cells))
 	}
-	m.cellLatencies(pc, etaSrc, etaI2, etaDst, ts)
+	m.cellLatencies(pc, lambdaG*pc.etaSrcCof, lambdaG*pc.etaI2Cof, lambdaG*pc.etaDstCof, ts)
 	var tEx float64
 	for i, p := range pc.cells {
 		tEx += p * ts[i]
 	}
 	return tEx
+}
+
+// srcMG1 is a class pair's inter source queue at lambdaG (Eq 31), whose
+// mean service is the merged-unit latency tEx.
+func (m *Model) srcMG1(lambdaG float64, pc *pairClass, tEx float64) queueing.MG1 {
+	sigma := tEx - float64(m.Msg.Flits)*pc.tcnE1Src
+	return queueing.MG1{Lambda: lambdaG * pc.srcCof, MeanService: tEx, VarService: sigma * sigma}
+}
+
+// cdMG1 is a class pair's concentrate/dispatch buffer queue at lambdaG
+// (Eqs 36–37), service M·t_cs^{I2}.
+func (m *Model) cdMG1(lambdaG float64, pc *pairClass) queueing.MG1 {
+	return queueing.MG1{Lambda: lambdaG * pc.wcCof, MeanService: float64(m.Msg.Flits) * m.tcsI2, VarService: pc.varCD}
 }
 
 // PairLatency evaluates the inter-cluster latency of the ordered pair
@@ -264,27 +283,16 @@ func (m *Model) PairLatency(lambdaG float64, i, j int) *PairResult {
 // pairClass tables.
 func (m *Model) pairLatency(lambdaG float64, classPair int, res *PairResult, buf *cellBuf) {
 	pc := &m.pairs[classPair]
-	M := float64(m.Msg.Flits)
-
-	etaSrc := lambdaG * pc.etaSrcCof
-	etaDst := lambdaG * pc.etaDstCof
-	etaI2 := lambdaG * pc.etaI2Cof // Eq 28's relaxing factor folded in
-
 	*res = PairResult{EEx: pc.eex, SF: pc.sf}
-	res.TEx = m.crossingLatency(pc, etaSrc, etaI2, etaDst, buf)
+	res.TEx = m.crossingLatency(pc, lambdaG, buf)
 
-	// Eq 31: source queue of the inter-cluster branch.
-	sigma := res.TEx - M*pc.tcnE1Src
-	q := queueing.MG1{Lambda: lambdaG * pc.srcCof, MeanService: res.TEx, VarService: sigma * sigma}
-	wEx, err := q.Wait()
+	wEx, err := m.srcMG1(lambdaG, pc, res.TEx).Wait()
 	if err != nil {
 		res.Saturated = true
 	}
 	res.WEx = wEx
 
-	// Eqs 36–37: concentrate/dispatch buffers, service M·t_cs^{I2}.
-	qcd := queueing.MG1{Lambda: lambdaG * pc.wcCof, MeanService: M * m.tcsI2, VarService: pc.varCD}
-	wc, errCD := qcd.Wait()
+	wc, errCD := m.cdMG1(lambdaG, pc).Wait()
 	if errCD != nil {
 		res.Saturated = true
 	}

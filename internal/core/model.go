@@ -8,8 +8,8 @@
 // combined into a system-wide weighted mean (Eq 3).
 //
 // The scanned source of the paper leaves a few arrival-rate symbols
-// ambiguous, so the model implements two variants (see Options.Variant and
-// DESIGN.md §6):
+// ambiguous, so the model implements two variants (see Options.Variant;
+// experiments.Ablation compares them with the other Options switches):
 //
 //   - Reconstructed (default): per-channel rates aggregate the whole
 //     network's traffic, while each node's source queue sees only that
@@ -70,8 +70,10 @@ type Options struct {
 	// dispatcher). The paper's Eq 32 treats the three networks as one
 	// cut-through pipe while simultaneously assuming full-message C/D
 	// service in Eqs 36–37 — two readings no single hardware realizes
-	// (EXPERIMENTS.md, finding F-A1). Enable this to compare the model
-	// against the simulator's store-and-forward gateways.
+	// (finding F-A1, written down at the experiments package's
+	// TestFigureLightLoadAgreement, which pins it). Enable this to
+	// compare the model against the simulator's store-and-forward
+	// gateways.
 	GatewayStoreAndForward bool
 
 	// UseLocality extends the model to the cluster-local traffic pattern
@@ -91,8 +93,9 @@ type Options struct {
 // traffic rate λ — distance distributions, stage-chain shapes, the
 // λ-independent tail sums of Eqs 19/34, per-channel rate coefficients —
 // is computed once in New, so Evaluate's per-λ path is pure arithmetic
-// over precomputed tables. A Model is immutable after New; concurrent
-// Evaluate calls are safe.
+// over precomputed tables. A Model is immutable after New (one built
+// through a Precompute handle until that handle's next build);
+// concurrent Evaluate calls are safe.
 type Model struct {
 	Sys *cluster.System
 	Msg netchar.MessageSpec
@@ -114,10 +117,6 @@ type Model struct {
 	classRep []int // class index → first cluster of the class
 	nClasses int
 	pairs    []pairClass // [src*nClasses+dst]; zero when the pair cannot occur
-
-	// icn2DistID identifies a degraded ICN2 distance-distribution
-	// override for the precompute cache (nil when Eq 6 applies).
-	icn2DistID *float64
 }
 
 // clusterDerived caches per-cluster constants.
@@ -174,7 +173,6 @@ func newModel(sys *cluster.System, msg netchar.MessageSpec, opt Options, deg *De
 	if deg != nil {
 		m.icn2Cap = capacity(deg.ICN2Capacity)
 		if deg.ICN2Dist != nil {
-			m.icn2DistID = &deg.ICN2Dist[0]
 			if pre != nil {
 				m.pI2 = deg.ICN2Dist
 			} else {
@@ -246,7 +244,7 @@ func newModel(sys *cluster.System, msg netchar.MessageSpec, opt Options, deg *De
 		}
 		d.etaI1Cof = intraCap * (1 - d.u) * d.dMean / (4 * float64(d.n))
 	}
-	m.classifyClusters(pre)
+	m.classifyClusters()
 	m.precomputePairs(pre)
 	return m, nil
 }
@@ -270,45 +268,41 @@ type classKey struct {
 // derived constants (U^(i) follows from N_i and the shared total), hence
 // identical intra terms and pair terms. On intact systems the population
 // and overrides follow from the shape, so the key reduces to the
-// original (height, networks) triple.
-func (m *Model) classifyClusters(pre *Precompute) {
-	var index map[classKey]int
-	if pre != nil {
-		if pre.classes == nil {
-			pre.classes = make(map[classKey]int)
-		}
-		clear(pre.classes)
-		index = pre.classes
-	} else {
-		index = make(map[classKey]int)
-	}
+// original (height, networks) triple. A cluster joins the first class
+// whose representative's key equals its own, so class ids are assigned
+// in first-occurrence order.
+func (m *Model) classifyClusters() {
 	// classOf and classRep (≤ len(cl) entries) share one allocation.
 	buf := make([]int, len(m.cl), 2*len(m.cl))
 	m.classOf = buf
 	m.classRep = buf[len(m.cl):len(m.cl):cap(buf)]
 	var prev classKey
-	prevID := -1
 	for i := range m.cl {
-		cc := m.Sys.Clusters[i]
-		d := &m.cl[i]
-		c := classKey{n: cc.TreeLevels, icn1: cc.ICN1, ecn1: cc.ECN1,
-			nodes: d.nodes, etaCof: d.etaI1Cof, ecnCap: d.ecnCap, distID: d.distID}
+		c := m.keyOf(i)
 		// Identical clusters come in runs (group templates), so compare
-		// against the previous key before paying a map lookup.
-		if c == prev && prevID >= 0 {
-			m.classOf[i] = prevID
-			continue
-		}
-		id, ok := index[c]
-		if !ok {
-			id = len(index)
-			index[c] = id
-			m.classRep = append(m.classRep, i)
+		// against the previous cluster before the representatives.
+		id := 0
+		if i > 0 && c == prev {
+			id = m.classOf[i-1]
+		} else {
+			for id < len(m.classRep) && m.keyOf(m.classRep[id]) != c {
+				id++
+			}
+			if id == len(m.classRep) {
+				m.classRep = append(m.classRep, i)
+			}
 		}
 		m.classOf[i] = id
-		prev, prevID = c, id
+		prev = c
 	}
-	m.nClasses = len(index)
+	m.nClasses = len(m.classRep)
+}
+
+func (m *Model) keyOf(i int) classKey {
+	cc := m.Sys.Clusters[i]
+	d := &m.cl[i]
+	return classKey{n: cc.TreeLevels, icn1: cc.ICN1, ecn1: cc.ECN1,
+		nodes: d.nodes, etaCof: d.etaI1Cof, ecnCap: d.ecnCap, distID: d.distID}
 }
 
 // distanceDist is Eq 6 as pure arithmetic (k = m/2, tree height n); the
@@ -472,13 +466,28 @@ func stageChain3(k, lo, hi int, flits, lastService float64,
 
 // intraCluster fills the Eq 4 terms (Section 3.1).
 func (m *Model) intraCluster(lambdaG float64, i int, cr *ClusterResult) {
+	q := m.intraMG1(lambdaG, i)
+	cr.TIn = q.MeanService
+	// Eq 19: tail pipeline time (precomputed in New).
+	cr.EIn = m.cl[i].eIn
+	w, err := q.Wait()
+	if err != nil {
+		cr.WIn = math.Inf(1)
+		cr.LIn = math.Inf(1)
+		return
+	}
+	cr.WIn = w
+	cr.LIn = cr.WIn + cr.TIn + cr.EIn
+}
+
+// intraMG1 is cluster i's source queue at lambdaG (Eqs 15–18); its mean
+// service is the mean network latency T_in (Eqs 5, 13, 14).
+func (m *Model) intraMG1(lambdaG float64, i int) queueing.MG1 {
 	d := &m.cl[i]
 	M := float64(m.Msg.Flits)
 
 	// Eq 7: traffic offered to ICN1(i); Eq 10: per-channel rate.
 	etaI1 := lambdaG * d.etaI1Cof
-
-	// Eqs 5, 13, 14: mean network latency.
 	var tIn float64
 	for h := 1; h <= d.n; h++ {
 		k := 2*h - 1
@@ -490,25 +499,11 @@ func (m *Model) intraCluster(lambdaG float64, i int, cr *ClusterResult) {
 		}
 		tIn += d.p[h-1] * th
 	}
-	cr.TIn = tIn
-
-	// Eq 19: tail pipeline time (precomputed in New).
-	cr.EIn = d.eIn
-
-	// Eqs 15–18: the source queue.
 	srcRate := lambdaG * (1 - d.u)
 	if m.Opt.Variant == PaperLiteral {
 		// Eq 7's network-aggregate rate, as printed.
 		srcRate = float64(d.nodes) * lambdaG * (1 - d.u)
 	}
 	sigma := tIn - M*d.tcnI1
-	q := queueing.MG1{Lambda: srcRate, MeanService: tIn, VarService: sigma * sigma}
-	w, err := q.Wait()
-	if err != nil {
-		cr.WIn = math.Inf(1)
-		cr.LIn = math.Inf(1)
-		return
-	}
-	cr.WIn = w
-	cr.LIn = cr.WIn + cr.TIn + cr.EIn
+	return queueing.MG1{Lambda: srcRate, MeanService: tIn, VarService: sigma * sigma}
 }

@@ -6,70 +6,31 @@ import (
 )
 
 // This file implements incremental model construction: a Precompute
-// handle caches the λ-independent tables that are expensive to derive
-// and shared between "neighboring" systems — an optimizer mutating one
+// handle keeps what successive builds of "neighboring" systems can
+// share without changing a computed bit — an optimizer mutating one
 // axis of a candidate, or the performability layer rebuilding the same
-// physical clusters under different failure states, re-derives mostly
-// identical distance distributions and pair-class tables. The cache key
-// captures every input of the derivation, so a hit returns exactly the
-// bytes a cold build would produce; results are bit-identical with and
-// without a handle (property-tested in precompute_test.go).
+// physical clusters under different failure states. It caches the Eq 6
+// distance distributions by (k, n), and it lends each build the slab its
+// pair classes' cells are carved from. Everything else is rebuilt: the
+// class and pair-class tables cost less to derive than to look up.
+// Results are bit-identical with and without a handle (property-tested
+// in precompute_test.go).
 
-// pairEndKey identifies one side of an ordered class pair by every
-// per-cluster input of buildPairClass. The distance distribution is
-// keyed by identity (pointer to its first element): nil means the
-// closed-form Eq 6 distribution of (k, n), which the other key fields
-// determine. Distinct slices with equal contents conservatively key as
-// distinct classes — that splits a class, never merges one, and class
-// granularity affects only how much work is deduplicated, not any
-// computed value.
-type pairEndKey struct {
-	n      int
-	nodes  int
-	u      float64
-	ecn1   netchar.Characteristics
-	ecnCap float64
-	dist   *float64
-}
-
-// pairKey identifies an ordered class pair: the two ends plus every
-// global input of buildPairClass (message geometry, options, the ICN2
-// description and its degraded overrides).
-type pairKey struct {
-	msg      netchar.MessageSpec
-	opt      Options
-	icn2     netchar.Characteristics
-	k        int
-	nc       int
-	icn2Cap  float64
-	icn2Dist *float64
-	src, dst pairEndKey
-}
-
-// prePairCap bounds the pair cache; when full it is cleared wholesale
-// (the workloads that benefit — neighbor walks, state sweeps — revisit
-// a small working set, so eviction policy hardly matters).
-const prePairCap = 8192
-
-// Precompute is a reusable cross-model cache for New/NewDegraded. It is
-// NOT safe for concurrent use: give each worker its own handle. Models
-// built through a handle share cached read-only tables with each other
-// and with the handle; additionally, degraded builds through a handle
-// adopt the Degradation's distance-distribution slices without copying.
-// Callers must therefore treat every distribution slice they pass in as
-// immutable for as long as any model built from it is in use.
+// Precompute is a reusable cross-model handle for New/NewDegraded. It
+// is NOT safe for concurrent use: give each worker its own handle. A
+// model built through a handle is valid until the next build through
+// that handle, which reuses its cell slab. Degraded builds through a
+// handle also adopt the Degradation's distance-distribution slices
+// without copying, so callers must treat every distribution slice they
+// pass in as immutable while a model built from it is in use.
 type Precompute struct {
-	dist    map[[2]int][]float64
-	classes map[classKey]int
-	pairs   map[pairKey]pairClass
+	dist  map[[2]int][]float64
+	cells []float64 // the last build's pair-class cells
 }
 
 // NewPrecompute returns an empty handle.
 func NewPrecompute() *Precompute {
-	return &Precompute{
-		dist:  make(map[[2]int][]float64),
-		pairs: make(map[pairKey]pairClass),
-	}
+	return &Precompute{dist: make(map[[2]int][]float64)}
 }
 
 // distanceDist returns the Eq 6 distribution for (k, n), cached.
@@ -84,7 +45,8 @@ func (pre *Precompute) distanceDist(k, n int) []float64 {
 }
 
 // NewWith is New with a reusable precompute handle; pre == nil is
-// exactly New. See Precompute for the sharing contract.
+// exactly New. The model is valid until the next build through pre;
+// see Precompute for the sharing contract.
 func NewWith(sys *cluster.System, msg netchar.MessageSpec, opt Options, pre *Precompute) (*Model, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -96,9 +58,10 @@ func NewWith(sys *cluster.System, msg netchar.MessageSpec, opt Options, pre *Pre
 }
 
 // NewDegradedWith is NewDegraded with a reusable precompute handle;
-// pre == nil is exactly NewDegraded. With a handle, the Degradation's
-// Dist and ICN2Dist slices are adopted without copying — the caller
-// must keep them unchanged while the model is in use.
+// pre == nil is exactly NewDegraded. The model is valid until the next
+// build through pre. With a handle, the Degradation's Dist and ICN2Dist
+// slices are adopted without copying — the caller must keep them
+// unchanged while the model is in use.
 func NewDegradedWith(sys *cluster.System, msg netchar.MessageSpec, opt Options, deg *Degradation, pre *Precompute) (*Model, error) {
 	if deg == nil {
 		return NewWith(sys, msg, opt, pre)
@@ -110,32 +73,4 @@ func NewDegradedWith(sys *cluster.System, msg netchar.MessageSpec, opt Options, 
 		return nil, err
 	}
 	return newModel(sys, msg, opt, deg, pre)
-}
-
-// pairKeyFor builds the cache key of the ordered class pair whose
-// representatives are clusters i and j.
-func (m *Model) pairKeyFor(i, j int) pairKey {
-	return pairKey{
-		msg:      m.Msg,
-		opt:      m.Opt,
-		icn2:     m.Sys.ICN2,
-		k:        m.Sys.K(),
-		nc:       m.nc,
-		icn2Cap:  m.icn2Cap,
-		icn2Dist: m.icn2DistID,
-		src:      m.endKey(i),
-		dst:      m.endKey(j),
-	}
-}
-
-func (m *Model) endKey(i int) pairEndKey {
-	d := &m.cl[i]
-	return pairEndKey{
-		n:      d.n,
-		nodes:  d.nodes,
-		u:      d.u,
-		ecn1:   m.Sys.Clusters[i].ECN1,
-		ecnCap: d.ecnCap,
-		dist:   d.distID,
-	}
 }

@@ -344,13 +344,35 @@ func TestPropertyWideCellsMatchStageChain3(t *testing.T) {
 
 // TestHotPathAllocations pins the allocation counts the benchmark gate
 // relies on: one Evaluate costs 4 allocations on both paper systems
-// however many cells its pair classes have, and the saturation probe
-// and bisection allocate nothing.
+// however many cells its pair classes have, the saturation probe and
+// bisection allocate nothing, and a degraded rebuild through a warm
+// handle costs 5 (the model, its cluster table, its class tables, a
+// class member count and its pair table; the pair cells come from the
+// handle).
 func TestHotPathAllocations(t *testing.T) {
+	msg := netchar.MessageSpec{Flits: 32, FlitBytes: 256}
 	for _, sys := range []*cluster.System{cluster.System1120(), cluster.System544()} {
-		m, err := New(sys, netchar.MessageSpec{Flits: 32, FlitBytes: 256}, Options{})
+		m, err := New(sys, msg, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		deg := intactDegradation(sys)
+		deg.Clusters[0].Nodes--
+		deg.Clusters[3].ECNCapacity = 1.5
+		deg.ICN2Capacity = 1.25
+		pre := NewPrecompute()
+		if _, err := NewDegradedWith(sys, msg, Options{}, deg, pre); err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(20, func() { NewDegradedWith(sys, msg, Options{}, deg, pre) }); a != 5 {
+			t.Errorf("%s: degraded rebuild through a warm handle allocates %v, want 5", sys.Name, a)
+		}
+		dm, err := NewDegradedWith(sys, msg, Options{}, deg, pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(5, func() { dm.SaturationPoint(1, 1e-4) }); a != 0 {
+			t.Errorf("%s: degraded SaturationPoint allocates %v per call, want 0", sys.Name, a)
 		}
 		if a := testing.AllocsPerRun(20, func() { m.Evaluate(1e-4) }); a != 4 {
 			t.Errorf("%s: Evaluate allocates %v per call, want 4", sys.Name, a)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,31 +64,4 @@ func LambdaGrid(lo, hi float64, n int) []float64 {
 		out[i] = lo + float64(i)*step
 	}
 	return out
-}
-
-// SaturationPoint locates, by bisection, the largest traffic rate in
-// (0, hi] at which the model is still stable, within relative tolerance
-// tol. It returns 0 if the model is saturated even at hi·2⁻⁶⁰, and hi if
-// it never saturates below hi.
-func (m *Model) SaturationPoint(hi, tol float64) float64 {
-	if hi <= 0 || tol <= 0 {
-		panic(fmt.Sprintf("core: invalid saturation search hi=%v tol=%v", hi, tol))
-	}
-	var probe satProbe // carries the binding queue across probes
-	if !m.saturated(hi, &probe) {
-		return hi
-	}
-	lo := hi * math.Ldexp(1, -60)
-	if m.saturated(lo, &probe) {
-		return 0
-	}
-	for (hi-lo)/hi > tol {
-		mid := (lo + hi) / 2
-		if m.saturated(mid, &probe) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return lo
 }

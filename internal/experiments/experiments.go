@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section: the Table 1/2 configurations, the four
 // latency-versus-load validation figures (Figs 3–6, analysis + simulation)
-// and the Fig 7 ICN2-bandwidth capability study, plus the ablation and
-// non-uniform-traffic extension experiments described in DESIGN.md.
+// and the Fig 7 ICN2-bandwidth capability study, plus the model-variant
+// ablation, non-uniform-traffic and buffer-depth extension experiments
+// (All lists every experiment id).
 package experiments
 
 import (

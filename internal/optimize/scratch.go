@@ -10,13 +10,12 @@ import (
 
 // evalScratch bundles one worker's reusable evaluation state: the digit
 // decode buffer, the geometry/fingerprint buffers, and a core.Precompute
-// handle. Search neighbors differ in one axis by construction, so
-// successive evaluations through one scratch rebuild almost nothing —
-// the handle serves their shared per-cluster distance distributions and
-// pair-class tables from cache. A scratch must not be used concurrently;
-// results are bit-identical whichever scratch (and cache state) serves
-// an id, so pooling scratches across workers preserves the spec+seed →
-// byte-identical report invariant.
+// handle, which serves the per-cluster Eq 6 distance distributions from
+// cache and lends each model build its pair-cell slab (so a candidate's
+// model is dropped before the scratch's next evaluation). A scratch must
+// not be used concurrently; results are bit-identical whichever scratch
+// (and cache state) serves an id, so pooling scratches across workers
+// preserves the spec+seed → byte-identical report invariant.
 type evalScratch struct {
 	digits   []int
 	groups   []candGroup // geometry group buffer

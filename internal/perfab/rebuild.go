@@ -95,10 +95,11 @@ type distEntry struct {
 
 // stateArena is one worker's reusable rebuild state: the per-cluster
 // damage buffers, the degraded system/degradation skeletons, and a
-// core.Precompute handle serving the unchanged pair-class tables across
-// successive states. An arena is exclusive to one evalState call at a
-// time; every placement is canonical, so results are bit-identical
-// whichever arena serves a state.
+// core.Precompute handle (the Eq 6 distributions and the pair-cell slab
+// each rebuild reuses, so a state's model is dropped before the arena's
+// next build). An arena is exclusive to one evalState call at a time;
+// every placement is canonical, so results are bit-identical whichever
+// arena serves a state.
 type stateArena struct {
 	cs        []clusterState
 	survivors []int
@@ -506,10 +507,9 @@ func (ev *evaluator) survivorDist(group, leafFailed, nodeFailed int) []float64 {
 }
 
 // icn2SurvivorDist returns the cached ICN2 survivor distance
-// distribution for one alive-cluster mask. Beyond saving the
-// enumeration, the cache keeps the returned slice's identity stable
-// across states with the same surviving clusters, which is what lets
-// the per-arena core.Precompute recognize their pair classes as equal.
+// distribution for one alive-cluster mask, so states with the same
+// surviving clusters share one enumeration. Cached slices are immutable:
+// degraded models adopt them without copying.
 func (ev *evaluator) icn2SurvivorDist(mask []bool, ar *stateArena) []float64 {
 	key := ar.maskKey[:0]
 	for _, a := range mask {

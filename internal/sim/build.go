@@ -55,7 +55,7 @@ func (n *network) channels(path []routing.Hop) []*wormhole.Channel {
 // clusterNets bundles one cluster's fabric: its two trees plus the
 // gateway (concentrator/dispatcher) port channels. The gateway complex
 // attaches one port to every ECN1 root switch on the cluster side and
-// occupies leaf slot i of ICN2 (DESIGN.md §4); its ports are provisioned
+// occupies leaf slot i of ICN2; its ports are provisioned
 // at the ICN2 link class, matching the model's C/D service time
 // M·t_cs^{I2} (Eqs 36–37).
 type clusterNets struct {

@@ -334,11 +334,18 @@ func TestClusterOfOffsets(t *testing.T) {
 	}
 }
 
+// TestDeeperBuffersRaiseCapacity pins finding F-A2: on N=544 the
+// simulator saturates well before the analytical knee, and the cause is
+// head-of-line blocking, not link capacity. With single-flit buffers a
+// blocked worm holds every channel behind its head, so the thin ICN2
+// tree (m=4, one gateway port per cluster) stalls the gateway channels
+// long before any link is busy all the time; buffers deep enough to
+// hold a whole message (virtual cut-through) release those channels and
+// move the simulated knee toward the model's, whose queues see only
+// link service times.
 func TestDeeperBuffersRaiseCapacity(t *testing.T) {
 	// At a rate past the depth-1 knee of the N=544 system, virtual-cut-
-	// through-depth buffers must sharply reduce latency: head-of-line
-	// blocking inflation, not link capacity, is what saturates the thin
-	// ICN2 tree early (EXPERIMENTS.md finding F-A2).
+	// through-depth buffers must sharply reduce latency.
 	sys := cluster.System544()
 	cfg := Config{
 		Sys: sys, Msg: netchar.MessageSpec{Flits: 32, FlitBytes: 256},
