@@ -1,12 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section (internal/experiments holds each experiment), plus
-// microbenchmarks of the load-bearing components. Figure benchmarks run
-// reduced message counts so `go test -bench=.` stays in tens of seconds;
-// use cmd/ccexp for the full paper-scale runs.
+// Benchmarks regenerating every figure and experiment of the paper's
+// evaluation section through the scenario campaign runner (the shipped
+// campaigns under examples/scenarios), plus microbenchmarks of the
+// load-bearing components. BenchmarkPaperScenarios runs reduced message
+// counts so `go test -bench=.` stays in tens of seconds; use `ccscen run`
+// on the same files for the full paper-scale runs. Tables 1 and 2 are
+// static text in README.md, held to the presets by TestTables.
 //
-// Each figure benchmark logs the regenerated rows (run with -v to see
-// them) and reports the light-load model-vs-simulation error as a custom
-// metric where simulation is part of the figure.
+// Each campaign sub-benchmark logs the regenerated rows (run with -v to
+// see them) and reports the light-load model-vs-simulation error as a
+// custom metric where simulation is part of the figure.
 package ccnet_test
 
 import (
@@ -24,7 +26,6 @@ import (
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/core"
 	"github.com/ccnet/ccnet/internal/des"
-	"github.com/ccnet/ccnet/internal/experiments"
 	"github.com/ccnet/ccnet/internal/fleetsim"
 	"github.com/ccnet/ccnet/internal/metrics"
 	"github.com/ccnet/ccnet/internal/netchar"
@@ -32,87 +33,68 @@ import (
 	"github.com/ccnet/ccnet/internal/perfab"
 	"github.com/ccnet/ccnet/internal/reqtrace"
 	"github.com/ccnet/ccnet/internal/routing"
+	"github.com/ccnet/ccnet/internal/scenario"
 	"github.com/ccnet/ccnet/internal/service"
 	"github.com/ccnet/ccnet/internal/sim"
 	"github.com/ccnet/ccnet/internal/topology"
 	"github.com/ccnet/ccnet/internal/wormhole"
 )
 
-// benchOpts keeps figure benchmarks fast while exercising the full
-// pipeline (model sweep + subsampled simulation).
-func benchOpts() experiments.RunOptions {
-	return experiments.RunOptions{WarmupCount: 500, MeasureCount: 4000, SimEvery: 5, Seed: 1}
+// paperScenarios lists the shipped campaigns of the paper's evaluation
+// section: each validation figure is one file under examples/scenarios,
+// each other experiment a directory with one file per curve.
+var paperScenarios = []struct{ id, path string }{
+	{"fig3", "examples/scenarios/fig3.json"},
+	{"fig4", "examples/scenarios/fig4.json"},
+	{"fig5", "examples/scenarios/fig5.json"},
+	{"fig6", "examples/scenarios/fig6.json"},
+	{"fig7", "examples/scenarios/fig7"},
+	{"ablation", "examples/scenarios/ablation"},
+	{"nonuniform", "examples/scenarios/nonuniform"},
+	{"bufferdepth", "examples/scenarios/bufferdepth"},
 }
 
-func benchFigure(b *testing.B, runner func(experiments.RunOptions) (*experiments.Result, error)) {
-	b.Helper()
-	var last *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := runner(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	var buf bytes.Buffer
-	if err := experiments.Render(&buf, last); err != nil {
-		b.Fatal(err)
-	}
-	b.Log("\n" + buf.String())
-	if _, sf := experiments.LightLoadError(last, 0.7); !math.IsNaN(sf) {
-		b.ReportMetric(sf, "light-load-err-%")
+// BenchmarkPaperScenarios regenerates every figure and experiment of the
+// paper's evaluation section through the campaign runner at reduced
+// message counts (500 warm-up, 4000 measured, seed 1; figure grids
+// simulate every fifth point, experiments that simulate every point keep
+// doing so). Each sub-benchmark logs its rendered tables and reports the
+// light-load model-vs-simulation error where the campaign simulates.
+func BenchmarkPaperScenarios(b *testing.B) {
+	for _, ps := range paperScenarios {
+		b.Run(ps.id, func(b *testing.B) {
+			var outs []*scenario.Outcome
+			for i := 0; i < b.N; i++ {
+				specs, err := scenario.LoadAll([]string{ps.path})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range specs {
+					s.Seed, s.Engines.Warmup, s.Engines.Measure = 1, 500, 4000
+					if s.Engines.SimEvery != 1 {
+						s.Engines.SimEvery = 5
+					}
+				}
+				outs = (&scenario.Runner{}).Run(specs)
+				for _, o := range outs {
+					if o.Err != nil {
+						b.Fatal(o.Err)
+					}
+				}
+			}
+			var buf bytes.Buffer
+			for _, o := range outs {
+				if err := scenario.Render(&buf, o.Result); err != nil {
+					b.Fatal(err)
+				}
+				if _, sf := scenario.LightLoadError(o.Result, 0.7); !math.IsNaN(sf) {
+					b.ReportMetric(sf, "light-load-err-%")
+				}
+			}
+			b.Log("\n" + buf.String())
+		})
 	}
 }
-
-// BenchmarkTable1Presets regenerates Table 1 (system organizations).
-func BenchmarkTable1Presets(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		s1120 := cluster.System1120()
-		s544 := cluster.System544()
-		if err := s1120.Validate(); err != nil {
-			b.Fatal(err)
-		}
-		if err := s544.Validate(); err != nil {
-			b.Fatal(err)
-		}
-		out = experiments.Table1()
-	}
-	b.Log("\n" + out)
-}
-
-// BenchmarkTable2ServiceTimes regenerates Table 2 (network classes and
-// the Eq 11–12 service times).
-func BenchmarkTable2ServiceTimes(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = experiments.Table2(256)
-	}
-	b.Log("\n" + out)
-}
-
-// BenchmarkFig3 regenerates Fig 3 (N=1120, M=32; analysis + simulation).
-func BenchmarkFig3(b *testing.B) { benchFigure(b, experiments.Fig3) }
-
-// BenchmarkFig4 regenerates Fig 4 (N=1120, M=64).
-func BenchmarkFig4(b *testing.B) { benchFigure(b, experiments.Fig4) }
-
-// BenchmarkFig5 regenerates Fig 5 (N=544, M=32).
-func BenchmarkFig5(b *testing.B) { benchFigure(b, experiments.Fig5) }
-
-// BenchmarkFig6 regenerates Fig 6 (N=544, M=64).
-func BenchmarkFig6(b *testing.B) { benchFigure(b, experiments.Fig6) }
-
-// BenchmarkFig7 regenerates Fig 7 (ICN2 bandwidth +20 %, analysis only).
-func BenchmarkFig7(b *testing.B) { benchFigure(b, experiments.Fig7) }
-
-// BenchmarkAblationVariants compares the documented model variants
-// (core.Variant and the core.Options switches) over the Fig 3 grid.
-func BenchmarkAblationVariants(b *testing.B) { benchFigure(b, experiments.Ablation) }
-
-// BenchmarkNonUniform exercises the paper's future-work extension:
-// hotspot and cluster-local traffic versus the uniform-traffic model.
-func BenchmarkNonUniform(b *testing.B) { benchFigure(b, experiments.NonUniform) }
 
 // --- microbenchmarks -----------------------------------------------------
 
@@ -311,10 +293,6 @@ func BenchmarkWormholeJourneyDeep(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBufferDepthAblation regenerates the assumption-6 ablation
-// (channel buffer depth versus simulated latency on N=544).
-func BenchmarkBufferDepthAblation(b *testing.B) { benchFigure(b, experiments.BufferDepth) }
 
 // --- service benchmarks ----------------------------------------------------
 

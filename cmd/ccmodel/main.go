@@ -61,6 +61,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ccmodel:", err)
 		return 1
 	}
+	// core.LambdaGrid panics on a grid it cannot build, and a NaN bound
+	// would reach Model.Evaluate's panic.
+	if *points < 2 {
+		return fail(fmt.Errorf("-points must be >= 2, got %d", *points))
+	}
+	if !(*from >= 0) {
+		return fail(fmt.Errorf("-from must be >= 0, got %v", *from))
+	}
+	if !(*to > *from) {
+		return fail(fmt.Errorf("-to must be above -from, got -from %v -to %v", *from, *to))
+	}
 
 	sys, err := systemByName(*system)
 	if err != nil {

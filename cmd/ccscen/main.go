@@ -57,7 +57,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/ccnet/ccnet/internal/experiments"
 	"github.com/ccnet/ccnet/internal/fleetsim"
 	"github.com/ccnet/ccnet/internal/optimize"
 	"github.com/ccnet/ccnet/internal/perfab"
@@ -611,12 +610,12 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ccscen: scenario %s failed: %v\n", o.Spec.Name, o.Err)
 			continue
 		}
-		if err := experiments.Render(stdout, o.Result); err != nil {
+		if err := scenario.Render(stdout, o.Result); err != nil {
 			fmt.Fprintln(stderr, "ccscen:", err)
 			return 1
 		}
 		if *plot {
-			if err := experiments.RenderChart(stdout, o.Result, 72, 22); err != nil {
+			if err := scenario.RenderChart(stdout, o.Result, 72, 22); err != nil {
 				fmt.Fprintln(stderr, "ccscen:", err)
 				return 1
 			}
@@ -646,13 +645,13 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func writeCSV(path string, res *experiments.Result) error {
+func writeCSV(path string, res *scenario.Result) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := experiments.WriteCSV(f, res); err != nil {
+	if err := scenario.WriteCSV(f, res); err != nil {
 		return err
 	}
 	return f.Close()

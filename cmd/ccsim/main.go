@@ -74,6 +74,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *depth < 1 {
 		return fail(fmt.Errorf("-buffer-depth must be >= 1, got %d", *depth))
 	}
+	// The traffic patterns panic on a fraction outside [0,1]; a NaN
+	// fraction is rejected as well.
+	if !(*hotspotP >= 0 && *hotspotP <= 1) {
+		return fail(fmt.Errorf("-hotspot-p must be in [0,1], got %v", *hotspotP))
+	}
+	if !(*localP >= 0 && *localP <= 1) {
+		return fail(fmt.Errorf("-local-p must be in [0,1], got %v", *localP))
+	}
 
 	sys, err := systemByName(*system)
 	if err != nil {

@@ -13,7 +13,8 @@ import (
 )
 
 // TestRun exercises the CLI contract: -version exits 0, bad flags exit 2
-// with usage text, bad values exit 1 with a named error, and a tiny
+// with usage text, bad values (an unknown name, a buffer depth below 1, a
+// traffic fraction outside [0,1]) exit 1 with a named error, and a tiny
 // simulation succeeds, with the paper's single-flit buffers and with
 // 4-flit ones.
 func TestRun(t *testing.T) {
@@ -27,6 +28,8 @@ func TestRun(t *testing.T) {
 		{Name: "tinySim", Args: []string{"-system", "small", "-lambda", "1e-4", "-warmup", "10", "-measure", "100"}, WantCode: 0, WantStdout: "mean latency"},
 		{Name: "bufferDepthZero", Args: []string{"-system", "small", "-buffer-depth", "0"}, WantCode: 1, WantStderr: "ccsim: -buffer-depth must be >= 1, got 0"},
 		{Name: "bufferDepthNegative", Args: []string{"-system", "small", "-buffer-depth", "-1"}, WantCode: 1, WantStderr: "ccsim: -buffer-depth must be >= 1, got -1"},
+		{Name: "hotspotFractionAboveOne", Args: []string{"-system", "small", "-pattern", "hotspot", "-hotspot-p", "2"}, WantCode: 1, WantStderr: "ccsim: -hotspot-p must be in [0,1], got 2"},
+		{Name: "localFractionAboveOne", Args: []string{"-system", "small", "-pattern", "local", "-local-p", "1.5"}, WantCode: 1, WantStderr: "ccsim: -local-p must be in [0,1], got 1.5"},
 		{Name: "deepBuffers", Args: []string{"-system", "small", "-lambda", "1e-4", "-warmup", "10", "-measure", "100", "-buffer-depth", "4"}, WantCode: 0, WantStdout: "mean latency"},
 	})
 }

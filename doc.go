@@ -6,12 +6,15 @@
 // against.
 //
 // The library lives under internal/: see internal/core for the analytical
-// model, internal/sim for the simulator, internal/experiments for the
-// table/figure regeneration harness, and internal/scenario for the
+// model, internal/sim for the simulator, and internal/scenario for the
 // declarative scenario engine — JSON what-if specs run by a parallel,
-// deterministically seeded campaign runner. The cmd/ binaries (ccmodel,
-// ccsim, ccexp, ccscen) and examples/ directories are the entry points
-// (examples/scenarios holds ready-to-run scenario files, including
-// reproductions of Figs 3–6); bench_test.go in this directory regenerates
-// every table and figure of the paper under `go test -bench`.
+// deterministically seeded campaign runner, which also runs the paper's
+// own evaluation. The cmd/ binaries (ccmodel, ccsim, ccscen, and the
+// ccserved/ccrouter/ccload serving tier) and examples/ directories are
+// the entry points: examples/scenarios holds ready-to-run scenario files,
+// among them Figs 3–7 and the ablation, non-uniform-traffic and
+// buffer-depth experiments as campaigns for `ccscen run`. Tables 1–2 are
+// static text in README.md, held to the presets by paper_test.go, and
+// bench_test.go in this directory regenerates every figure and
+// experiment under `go test -bench`.
 package ccnet

@@ -9,7 +9,8 @@
 //
 // The scanned source of the paper leaves a few arrival-rate symbols
 // ambiguous, so the model implements two variants (see Options.Variant;
-// experiments.Ablation compares them with the other Options switches):
+// the examples/scenarios/ablation campaign compares them with the other
+// Options switches):
 //
 //   - Reconstructed (default): per-channel rates aggregate the whole
 //     network's traffic, while each node's source queue sees only that
@@ -70,7 +71,7 @@ type Options struct {
 	// dispatcher). The paper's Eq 32 treats the three networks as one
 	// cut-through pipe while simultaneously assuming full-message C/D
 	// service in Eqs 36–37 — two readings no single hardware realizes
-	// (finding F-A1, written down at the experiments package's
+	// (finding F-A1, written down at the scenario package's
 	// TestFigureLightLoadAgreement, which pins it). Enable this to
 	// compare the model against the simulator's store-and-forward
 	// gateways.

@@ -21,7 +21,7 @@ import (
 )
 
 // envelope is the acceptance band for |model−sim|/sim at light load,
-// matching the ~12 % bound internal/experiments.TestFigureLightLoadAgreement
+// matching the ~12 % bound internal/scenario's TestFigureLightLoadAgreement
 // holds the paper-scale reproductions to, with margin for the smaller
 // random systems here (observed: 1–12 % across seeds). A broken model
 // term shifts latency by integer factors, far outside this band.
@@ -35,8 +35,8 @@ const envelope = 15.0 // percent
 const miniatureEnvelope = 50.0 // percent
 
 // lightLoadFraction positions the comparison rate well inside the
-// stable region, where the experiments package's light-load convention
-// applies.
+// stable region, where the light-load convention of
+// scenario.LightLoadError applies.
 const lightLoadFraction = 0.3
 
 // randomSystem draws an 8-cluster heterogeneous system (m=4, n_i ∈

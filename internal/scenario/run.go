@@ -11,7 +11,6 @@ import (
 
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/core"
-	"github.com/ccnet/ccnet/internal/experiments"
 	"github.com/ccnet/ccnet/internal/netchar"
 	"github.com/ccnet/ccnet/internal/rng"
 	"github.com/ccnet/ccnet/internal/sim"
@@ -37,7 +36,7 @@ type Runner struct {
 type Outcome struct {
 	Spec   *Spec
 	Sys    *cluster.System
-	Result *experiments.Result
+	Result *Result
 	// Assertions holds one entry per spec assertion, in order.
 	Assertions []AssertionResult
 	// Err reports a hard failure (bad system build, simulator error);
@@ -78,7 +77,7 @@ type prepared struct {
 	// paper and sf hold one model per flit-size series (sf nil when the
 	// analysisSF column is off).
 	paper, sf []*core.Model
-	result    *experiments.Result
+	result    *Result
 	base      *rng.Stream
 }
 
@@ -214,9 +213,9 @@ func (r *Runner) prepare(s *Spec, workers int) (*prepared, error) {
 	h.Write([]byte(s.Name))
 	p.base = rng.New(seed, h.Sum64())
 
-	p.result = &experiments.Result{ID: s.Name, Title: s.effectiveTitle()}
+	p.result = &Result{ID: s.Name, Title: s.effectiveTitle()}
 	for si, dm := range s.Traffic.FlitBytes {
-		series := experiments.Series{Label: fmt.Sprintf("Lm=%d", dm)}
+		series := Series{Label: fmt.Sprintf("Lm=%d", dm)}
 		var analysis, sf []*core.Result
 		if s.Engines.analysisOn() {
 			analysis = p.paper[si].SweepParallel(p.grid, workers)
@@ -225,7 +224,7 @@ func (r *Runner) prepare(s *Spec, workers int) (*prepared, error) {
 			sf = p.sf[si].SweepParallel(p.grid, workers)
 		}
 		for gi, l := range p.grid {
-			pt := experiments.Point{Lambda: l, Analysis: math.NaN(),
+			pt := Point{Lambda: l, Analysis: math.NaN(),
 				AnalysisSF: math.NaN(), Simulation: math.NaN()}
 			if analysis != nil {
 				pt.Analysis = analysis[gi].MeanLatency
@@ -365,7 +364,8 @@ func (p *prepared) evaluate(a AssertionSpec) AssertionResult {
 		if frac == 0 {
 			frac = 0.7
 		}
-		pct, n := relError(p.result, col, frac)
+		pcts, n := lightLoad(p.result, frac, col)
+		pct := pcts[0]
 		switch {
 		case n == 0:
 			res.Pass = false
@@ -384,7 +384,7 @@ func (p *prepared) evaluate(a AssertionSpec) AssertionResult {
 				prev := math.NaN()
 				for gi, pt := range s.Points {
 					v := column(pt, col)
-					if math.IsNaN(v) || math.IsInf(v, 0) {
+					if !finite(v) {
 						continue
 					}
 					if !math.IsNaN(prev) && v < prev*(1-1e-9) {
@@ -412,41 +412,4 @@ func appendDetail(d, more string) string {
 		return more
 	}
 	return d + "; " + more
-}
-
-func column(p experiments.Point, col string) float64 {
-	if col == "analysis" {
-		return p.Analysis
-	}
-	return p.AnalysisSF
-}
-
-// relError computes the mean light-load relative error of one model
-// column against simulation, per the experiments.LightLoadError
-// convention: only rates below frac × each series' last mutually stable
-// simulated rate count.
-func relError(r *experiments.Result, col string, frac float64) (pct float64, n int) {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	var sum float64
-	for _, s := range r.Series {
-		var maxStable float64
-		for _, p := range s.Points {
-			if finite(p.Simulation) && finite(column(p, col)) && p.Lambda > maxStable {
-				maxStable = p.Lambda
-			}
-		}
-		limit := frac * maxStable
-		for _, p := range s.Points {
-			m := column(p, col)
-			if !finite(p.Simulation) || !finite(m) || p.Lambda > limit {
-				continue
-			}
-			sum += math.Abs(m-p.Simulation) / p.Simulation * 100
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN(), 0
-	}
-	return sum / float64(n), n
 }

@@ -5,15 +5,17 @@
 // a validating loader turns files into Specs with precise field-path
 // error messages; and a parallel campaign runner fans a scenario set —
 // and each scenario's parameter grid — out across a worker pool with
-// deterministic per-job seeds, aggregating everything into the
-// experiments result/render plumbing.
+// deterministic per-job seeds, aggregating everything into one Result
+// per scenario (rendered by Render, WriteCSV and RenderChart).
 //
-// The paper's own evaluation section is expressible in this format (see
-// examples/scenarios/fig3.json … fig6.json), but so is any system the
-// model accepts: arbitrary cluster counts and tree shapes, per-cluster
-// network classes, custom bandwidth/latency characteristics, hotspot and
-// cluster-local traffic, and automatic load grids that stop short of the
-// analytical saturation point.
+// The paper's own evaluation section is expressed in this format:
+// examples/scenarios/fig3.json … fig6.json are the validation figures,
+// and the fig7, ablation, nonuniform and bufferdepth directories hold one
+// file per curve of the remaining experiments. Any system the model
+// accepts is expressible too: arbitrary cluster counts and tree shapes,
+// per-cluster network classes, custom bandwidth/latency characteristics,
+// hotspot and cluster-local traffic, and automatic load grids that stop
+// short of the analytical saturation point.
 package scenario
 
 import (

@@ -221,7 +221,7 @@ type SweepResult struct {
 	Points          []PointJSON `json:"points"`
 }
 
-// CampaignSeries and CampaignPoint mirror the experiments result layout;
+// CampaignSeries and CampaignPoint mirror the scenario.Result layout;
 // NaN (not simulated) and +Inf (saturated) become null.
 type CampaignPoint struct {
 	Lambda     float64  `json:"lambda"`

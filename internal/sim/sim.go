@@ -48,8 +48,9 @@ type Config struct {
 
 	// MaxBacklog aborts the run (Saturated result) once this many
 	// messages are simultaneously in flight — an unstable system grows
-	// its queues without bound. Default 50000; the figure harness
-	// (experiments.RunOptions) passes its own default of 25000.
+	// its queues without bound. Default 50000; the nonuniform and
+	// bufferdepth campaigns under examples/scenarios set 25000
+	// (engines.maxBacklog).
 	MaxBacklog int
 
 	// MaxEvents is a hard safety valve on kernel events (default 500M).
