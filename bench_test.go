@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -262,8 +263,9 @@ func BenchmarkWormholeJourney(b *testing.B) {
 		for j := range chans {
 			chans[j] = e.NewChannel("c", 0.5)
 		}
+		route := e.NewRoute(chans)
 		for m := 0; m < 16; m++ {
-			e.Start(&wormhole.Journey{Channels: chans, Flits: 32}, float64(m))
+			e.Start(&wormhole.Journey{Route: route, Flits: 32}, float64(m))
 		}
 		k.Run(nil)
 		if e.Completed != 16 {
@@ -271,6 +273,42 @@ func BenchmarkWormholeJourney(b *testing.B) {
 		}
 	}
 }
+
+// benchKernelHold times the bare event kernel under the hold model:
+// pending events wait in the queue, and each one that fires schedules
+// one successor an exponentially distributed delay later, so the
+// population stays constant. ns/op is the cost of one event: a pop, a
+// dispatch and a schedule. The delays are drawn before timing.
+func benchKernelHold(b *testing.B, pending int) {
+	r := rand.New(rand.NewPCG(1, 2))
+	delays := make([]float64, 1<<12)
+	for i := range delays {
+		delays[i] = r.ExpFloat64()
+	}
+	var k des.Kernel
+	next := 0
+	k.SetDispatch(func(int) {
+		k.After(delays[next&(len(delays)-1)], 0)
+		next++
+	})
+	for i := 0; i < pending; i++ {
+		k.After(delays[i], 0)
+	}
+	next = pending
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+	if k.Pending() != pending {
+		b.Fatalf("%d events pending, want %d", k.Pending(), pending)
+	}
+}
+
+// BenchmarkKernelHold5 and BenchmarkKernelHold100 hold the kernel at 5
+// and 100 pending events: the median populations at a pop of the
+// campaign leg (DESCampaign, 3–5) and of N=544 (Simulator544, 74).
+func BenchmarkKernelHold5(b *testing.B)   { benchKernelHold(b, 5) }
+func BenchmarkKernelHold100(b *testing.B) { benchKernelHold(b, 100) }
 
 // BenchmarkWormholeJourneyDeep is BenchmarkWormholeJourney's other side
 // of the engine: 16 journeys of 8 flits over 8 shared channels with
@@ -284,8 +322,9 @@ func BenchmarkWormholeJourneyDeep(b *testing.B) {
 		for j := range chans {
 			chans[j] = e.NewBufferedChannel("c", 0.5, 4)
 		}
+		route := e.NewRoute(chans)
 		for m := 0; m < 16; m++ {
-			e.Start(&wormhole.Journey{Channels: chans, Flits: 8}, float64(m))
+			e.Start(&wormhole.Journey{Route: route, Flits: 8}, float64(m))
 		}
 		k.Run(nil)
 		if e.Completed != 16 {

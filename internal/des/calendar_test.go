@@ -96,8 +96,8 @@ func randomScript(r *rand.Rand, n int) []scriptedEvent {
 }
 
 // TestCalendarMatchesHeapOrder drives random scripted schedules through
-// the calendar-queue kernel and the reference heap and requires
-// identical execution orders.
+// the kernel and the reference heap and requires identical execution
+// orders.
 func TestCalendarMatchesHeapOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -105,15 +105,15 @@ func TestCalendarMatchesHeapOrder(t *testing.T) {
 		script := randomScript(r, n)
 		want := refRun(script)
 
-		var k Kernel
+		tb := newTable()
 		var got []int
 		var schedule func(e scriptedEvent, at float64)
 		schedule = func(e scriptedEvent, at float64) {
-			k.ScheduleAt(at, func() {
+			tb.at(at, func() {
 				got = append(got, e.id)
 				for _, c := range script {
 					if c.parent == e.id {
-						schedule(c, k.Now()+c.delay)
+						schedule(c, tb.k.Now()+c.delay)
 					}
 				}
 			})
@@ -123,7 +123,7 @@ func TestCalendarMatchesHeapOrder(t *testing.T) {
 				schedule(e, e.delay)
 			}
 		}
-		k.Run(nil)
+		tb.k.Run(nil)
 
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: executed %d events, want %d", trial, len(got), len(want))
@@ -147,12 +147,13 @@ func TestCalendarRunUntilMatchesHeap(t *testing.T) {
 		}
 		cut := float64(r.Intn(10))
 
-		var k Kernel
-		fired := 0
-		for _, tm := range times {
-			k.ScheduleAt(tm, func() { fired++ })
+		var refs []int
+		k := recorder(&refs)
+		for i, tm := range times {
+			k.At(tm, i)
 		}
 		k.RunUntil(cut)
+		fired := len(refs)
 
 		want := 0
 		for _, tm := range times {
@@ -172,22 +173,20 @@ func TestCalendarRunUntilMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestScheduleCallSharedHandler checks the closure-free variants: one
-// func value serves many events, each receiving its own argument, in
-// (time, seq) order.
-func TestScheduleCallSharedHandler(t *testing.T) {
-	var k Kernel
+// TestDispatchReceivesRefs checks that the one dispatch function serves
+// every event, each receiving its own ref, in (time, seq) order.
+func TestDispatchReceivesRefs(t *testing.T) {
 	var got []int
-	record := func(a any) { got = append(got, a.(int)) }
-	k.ScheduleCallAt(2, record, 20)
-	k.ScheduleCallAt(1, record, 10)
-	k.ScheduleCall(1, record, 11) // same instant as id 10, later seq
-	k.ScheduleCallAt(3, record, 30)
+	k := recorder(&got)
+	k.At(2, 20)
+	k.At(1, 10)
+	k.After(1, 11) // same instant as ref 10, later seq
+	k.At(3, 30)
 	k.Run(nil)
 	want := []int{10, 11, 20, 30}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("ScheduleCall order = %v, want %v", got, want)
+			t.Fatalf("dispatch order = %v, want %v", got, want)
 		}
 	}
 	if k.Processed() != 4 || k.Now() != 3 {
@@ -202,14 +201,15 @@ func TestCalendarResizeStress(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	last := -1.0
 	count := 0
-	check := func(a any) {
-		tm := a.(float64)
+	var times []float64
+	k.SetDispatch(func(ref int) {
+		tm := times[ref]
 		if tm < last {
 			t.Fatalf("event at %v fired after %v", tm, last)
 		}
 		last = tm
 		count++
-	}
+	})
 	// Alternate bulk loads and partial drains across several decades of
 	// time scale to force width re-derivation.
 	total := 0
@@ -218,7 +218,8 @@ func TestCalendarResizeStress(t *testing.T) {
 		scale := math10(round % 5)
 		for i := 0; i < 300; i++ {
 			tm := now + r.Float64()*scale
-			k.ScheduleCallAt(tm, check, tm)
+			times = append(times, tm)
+			k.At(tm, len(times)-1)
 			total++
 		}
 		for i := 0; i < 150; i++ {

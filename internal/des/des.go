@@ -4,12 +4,17 @@
 //
 // The kernel is single-goroutine by design — network simulators of this
 // kind are dominated by event ordering, and a sequential future-event
-// list is both fastest and exactly reproducible. The list is a 4-ary
-// min-heap of pointer-free keys; each pending event's handler and
-// argument sit in a slab slot that is reused once the event fires, so
-// steady-state scheduling allocates nothing, and the ScheduleCall
-// variants take a shared handler plus a context argument so callers need
-// not allocate closures either.
+// list is both fastest and exactly reproducible. An event is a
+// pointer-free key: its time, its sequence number and a ref, an integer
+// that means something only to the kernel's owner. Every event fires
+// through the one dispatch function the owner installs, which decodes
+// the ref, so scheduling allocates nothing and the queue holds nothing
+// the garbage collector must scan.
+//
+// The earliest pending key waits in a front slot ahead of a 4-ary
+// min-heap. A simulation step typically pops one event and schedules a
+// successor; when that successor precedes everything pending it takes
+// the slot, and the next pop takes it back without touching the heap.
 package des
 
 import (
@@ -17,51 +22,44 @@ import (
 	"math"
 )
 
-// Handler is the action executed when an event fires.
-type Handler func()
-
-// key orders one pending event by (time, seq) and names the slab slot
-// holding its payload. It holds no pointers, so moving keys through the
-// heap needs no write barriers and gives the garbage collector nothing
-// to scan.
+// key is one pending event: it fires at time, orders by (time, seq),
+// and hands ref to the dispatch function.
 type key struct {
 	time float64
 	seq  uint64
-	slot int
+	ref  int
 }
 
 func (a *key) before(b *key) bool {
 	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
 
-// payload is what a pending event runs: call(arg).
-type payload struct {
-	call func(any)
-	arg  any
-}
-
-// runHandler is the shared call of every Schedule/ScheduleAt event: the
-// Handler rides as the argument, and a func value boxes into an
-// interface without allocating.
-func runHandler(h any) { h.(Handler)() }
-
 // Kernel owns the simulation clock and the future-event list. The zero
-// value is ready to use.
+// value is ready to use once SetDispatch has installed the function that
+// fires events.
 //
 // Events pop in (time, seq) order, where seq numbers schedule calls, so
 // events at the same instant fire in the order they were scheduled. The
 // order is total: a run's event sequence depends only on what was
-// scheduled, never on the queue's layout. The three slices grow to the
-// run's peak pending population and are reused from then on.
+// scheduled, never on the queue's layout. The heap grows to the run's
+// peak pending population and is reused from then on.
 type Kernel struct {
-	heap []key     // 4-ary min-heap: the children of i are 4i+1 … 4i+4
-	slab []payload // pending events' payloads, indexed by key.slot
-	free []int     // slab slots not holding a pending event
+	// front, when full, is the earliest pending key: it precedes every
+	// key in heap.
+	front key
+	full  bool
+	heap  []key // 4-ary min-heap: the children of i are 4i+1 … 4i+4
+
+	dispatch func(ref int)
 
 	now       float64
 	seq       uint64
 	processed uint64
 }
+
+// SetDispatch installs fire as the function every event runs: an event
+// scheduled with ref r calls fire(r) when it pops.
+func (k *Kernel) SetDispatch(fire func(ref int)) { k.dispatch = fire }
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() float64 { return k.now }
@@ -70,60 +68,49 @@ func (k *Kernel) Now() float64 { return k.now }
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of scheduled but unexecuted events.
-func (k *Kernel) Pending() int { return len(k.heap) }
+func (k *Kernel) Pending() int {
+	if k.full {
+		return len(k.heap) + 1
+	}
+	return len(k.heap)
+}
 
-// Schedule runs fn after delay simulation-time units. Negative or NaN
-// delays panic: they would break causality.
-func (k *Kernel) Schedule(delay float64, fn Handler) {
+// After schedules ref to fire after delay simulation-time units.
+// Negative or NaN delays panic: they would break causality.
+func (k *Kernel) After(delay float64, ref int) {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("des: invalid delay %v", delay))
 	}
-	k.ScheduleAt(k.now+delay, fn)
+	k.At(k.now+delay, ref)
 }
 
-// ScheduleAt runs fn at absolute simulation time t (>= Now).
-func (k *Kernel) ScheduleAt(t float64, fn Handler) {
-	var call func(any) // stays nil for a nil fn, which ScheduleCallAt rejects
-	if fn != nil {
-		call = runHandler
-	}
-	k.ScheduleCallAt(t, call, fn)
-}
-
-// ScheduleCall runs fn(arg) after delay simulation-time units. fn is
-// typically a long-lived func value shared by every event of one kind,
-// so the call allocates nothing beyond the event's queue slot.
-func (k *Kernel) ScheduleCall(delay float64, fn func(any), arg any) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("des: invalid delay %v", delay))
-	}
-	k.ScheduleCallAt(k.now+delay, fn, arg)
-}
-
-// ScheduleCallAt runs fn(arg) at absolute simulation time t (>= Now).
-func (k *Kernel) ScheduleCallAt(t float64, fn func(any), arg any) {
+// At schedules ref to fire at absolute simulation time t (>= Now).
+func (k *Kernel) At(t float64, ref int) {
 	if t < k.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, k.now))
 	}
-	if fn == nil {
-		panic("des: nil handler")
-	}
-	var slot int
-	if n := len(k.free); n > 0 {
-		slot = k.free[n-1]
-		k.free = k.free[:n-1]
-		k.slab[slot] = payload{fn, arg}
-	} else {
-		slot = len(k.slab)
-		k.slab = append(k.slab, payload{fn, arg})
+	if k.dispatch == nil {
+		panic("des: no dispatch installed")
 	}
 	k.seq++
-	k.heap = append(k.heap, key{time: t, seq: k.seq, slot: slot})
+	e := key{time: t, seq: k.seq, ref: ref}
+
+	// The new key has the largest seq, so it precedes a pending key only
+	// by being strictly earlier.
+	switch {
+	case k.full:
+		if t < k.front.time {
+			e, k.front = k.front, e
+		}
+	case len(k.heap) == 0 || t < k.heap[0].time:
+		k.front, k.full = e, true
+		return
+	}
 
 	// Sift up.
+	k.heap = append(k.heap, e)
 	h := k.heap
 	i := len(h) - 1
-	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
 		if !e.before(&h[p]) {
@@ -135,11 +122,16 @@ func (k *Kernel) ScheduleCallAt(t float64, fn func(any), arg any) {
 	h[i] = e
 }
 
-// pop removes and returns the earliest key.
+// pop removes and returns the earliest key: the front slot's, else the
+// heap's root.
 func (k *Kernel) pop() key {
+	if k.full {
+		k.full = false
+		return k.front
+	}
 	n := len(k.heap) - 1
 	top, e := k.heap[0], k.heap[n]
-	k.heap = k.heap[:n] // same backing array: no pointer store
+	k.heap = k.heap[:n]
 	if n == 0 {
 		return top
 	}
@@ -169,20 +161,15 @@ func (k *Kernel) pop() key {
 }
 
 // Step executes the next event. It reports false when no event is
-// pending. The event's slot is cleared and freed before its handler
-// runs, so a fired event keeps nothing alive and the handler's own
-// scheduling can reuse the slot.
+// pending.
 func (k *Kernel) Step() bool {
-	if len(k.heap) == 0 {
+	if !k.full && len(k.heap) == 0 {
 		return false
 	}
 	top := k.pop()
-	p := k.slab[top.slot]
-	k.slab[top.slot] = payload{}
-	k.free = append(k.free, top.slot)
 	k.now = top.time
 	k.processed++
-	p.call(p.arg)
+	k.dispatch(top.ref)
 	return true
 }
 
@@ -191,7 +178,7 @@ func (k *Kernel) Step() bool {
 // events executed by this call.
 func (k *Kernel) Run(stop func() bool) uint64 {
 	start := k.processed
-	for len(k.heap) > 0 {
+	for k.full || len(k.heap) > 0 {
 		if stop != nil && stop() {
 			break
 		}
@@ -203,7 +190,14 @@ func (k *Kernel) Run(stop func() bool) uint64 {
 // RunUntil executes events with timestamps <= t, advancing the clock to t
 // if no pending event remains at or before it.
 func (k *Kernel) RunUntil(t float64) {
-	for len(k.heap) > 0 && k.heap[0].time <= t {
+	for {
+		if k.full {
+			if k.front.time > t {
+				break
+			}
+		} else if len(k.heap) == 0 || k.heap[0].time > t {
+			break
+		}
 		k.Step()
 	}
 	if k.now < t {

@@ -15,7 +15,7 @@ import (
 type fuzzEvent struct {
 	parent int
 	delay  float64
-	via    int // 0 ScheduleAt, 1 ScheduleCallAt, 2 Schedule, 3 ScheduleCall
+	via    int // 0 At, 1 After
 	late   bool
 }
 
@@ -44,7 +44,7 @@ func decodeScript(data []byte) fuzzScript {
 		flags, d, p := data[0], data[1], data[2]
 		data = data[3:]
 		i := len(s.events)
-		e := fuzzEvent{parent: -1, via: int(flags & 3), late: flags&8 != 0}
+		e := fuzzEvent{parent: -1, via: int(flags & 1), late: flags&8 != 0}
 		if flags&4 != 0 && i > 0 {
 			e.parent = int(p) % i
 		}
@@ -127,30 +127,29 @@ func oracleRun(s fuzzScript) (order []int, atCut int) {
 }
 
 // kernelRun replays s through a Kernel, scheduling each event with the
-// call its script names, and returns the firing order, the pending
-// count at the cut and the peak pending count.
-func kernelRun(s fuzzScript) (k *Kernel, order []int, atCut, peak int) {
+// call its script names and the event's id as its ref, and returns the
+// firing order, the pending count at the cut and the peak pending
+// count. After every schedule and every fired event it checks the
+// queue's layout (checkLayout).
+func kernelRun(t *testing.T, s fuzzScript) (k *Kernel, order []int, atCut, peak int) {
+	t.Helper()
 	k = &Kernel{}
 	var sched func(id int)
-	fire := func(id int) {
+	k.SetDispatch(func(id int) {
+		checkLayout(t, k)
 		order = append(order, id)
 		for _, c := range s.children[id] {
 			sched(c)
 		}
-	}
-	fireArg := func(a any) { fire(a.(int)) }
+	})
 	sched = func(id int) {
 		d := s.events[id].delay
-		switch s.events[id].via {
-		case 0:
-			k.ScheduleAt(k.Now()+d, func() { fire(id) })
-		case 1:
-			k.ScheduleCallAt(k.Now()+d, fireArg, id)
-		case 2:
-			k.Schedule(d, func() { fire(id) })
-		default:
-			k.ScheduleCall(d, fireArg, id)
+		if s.events[id].via == 0 {
+			k.At(k.Now()+d, id)
+		} else {
+			k.After(d, id)
 		}
+		checkLayout(t, k)
 		peak = max(peak, k.Pending())
 	}
 	s.run(sched, func(t float64) {
@@ -160,14 +159,30 @@ func kernelRun(s fuzzScript) (k *Kernel, order []int, atCut, peak int) {
 	return k, order, atCut, peak
 }
 
-// checkScript requires the kernel to fire s exactly as the oracle does
-// and to leave its slab clean: no slot of a drained kernel references a
-// handler or an argument, and the slab never held more slots than
-// events were ever pending at once.
+// checkLayout requires the queue's invariants: every heap key's parent
+// precedes it, and a key held in the front slot precedes the heap's
+// root, so the slot holds the earliest pending key.
+func checkLayout(t *testing.T, k *Kernel) {
+	t.Helper()
+	for i := 1; i < len(k.heap); i++ {
+		if p := (i - 1) / 4; k.heap[i].before(&k.heap[p]) {
+			t.Fatalf("heap key %d (t=%v seq=%d) precedes its parent %d (t=%v seq=%d)",
+				i, k.heap[i].time, k.heap[i].seq, p, k.heap[p].time, k.heap[p].seq)
+		}
+	}
+	if k.full && len(k.heap) > 0 && !k.front.before(&k.heap[0]) {
+		t.Fatalf("front slot (t=%v seq=%d) does not precede the heap root (t=%v seq=%d)",
+			k.front.time, k.front.seq, k.heap[0].time, k.heap[0].seq)
+	}
+}
+
+// checkScript requires the kernel to fire s exactly as the oracle does,
+// with the queue's layout intact throughout, and to hold no key once
+// drained.
 func checkScript(t *testing.T, s fuzzScript) (peak int) {
 	t.Helper()
 	want, wantCut := oracleRun(s)
-	k, got, gotCut, peak := kernelRun(s)
+	k, got, gotCut, peak := kernelRun(t, s)
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, oracle fired %d", len(got), len(want))
 	}
@@ -182,18 +197,13 @@ func checkScript(t *testing.T, s fuzzScript) (peak int) {
 	if k.Pending() != 0 || k.Processed() != uint64(len(want)) {
 		t.Fatalf("after drain: pending %d, processed %d of %d", k.Pending(), k.Processed(), len(want))
 	}
-	for i, p := range k.slab {
-		if p.call != nil || p.arg != nil {
-			t.Fatalf("drained slot %d still references its payload", i)
-		}
-	}
-	if len(k.slab) > peak || len(k.free) != len(k.slab) {
-		t.Fatalf("slab has %d slots (%d free) for a peak of %d pending", len(k.slab), len(k.free), peak)
+	if k.full || len(k.heap) != 0 {
+		t.Fatalf("drained kernel holds keys: slot %v, heap %d", k.full, len(k.heap))
 	}
 	return peak
 }
 
-// FuzzKernelMatchesHeap decodes bytes into a schedule — the four
+// FuzzKernelMatchesHeap decodes bytes into a schedule — both
 // scheduling calls, tie-forcing delays, child events and an optional
 // RunUntil cut followed by late top-level events — and requires the
 // kernel to fire it in the container/heap oracle's order.

@@ -523,12 +523,18 @@ func formatMillis(d time.Duration) string {
 	return strconv.FormatFloat(float64(d)/1e6, 'f', 3, 64)
 }
 
+// copyBufs holds copyFlush's 32 KB buffers, so forwarding a response
+// does not allocate and zero a fresh one.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
 // copyFlush streams src to dst, flushing after every chunk when the
 // response is NDJSON so progress frames reach the client as they are
 // produced, not when buffers fill.
 func copyFlush(dst http.ResponseWriter, src io.Reader, flushEach bool) error {
 	f, _ := dst.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	bp := copyBufs.Get().(*[32 << 10]byte)
+	defer copyBufs.Put(bp)
+	buf := bp[:]
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {

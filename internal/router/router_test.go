@@ -1,9 +1,11 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,4 +262,30 @@ func TestHandlerFallbackStatus(t *testing.T) {
 			t.Errorf("%s %s: APIError = %+v, want code bad_request with a request id", c.method, c.path, ae)
 		}
 	}
+}
+
+// TestCopyFlushSharesBuffersSafely: concurrent forwards draw their copy
+// buffers from one pool, and each response still arrives byte for byte,
+// whether it is longer than a buffer or not.
+func TestCopyFlushSharesBuffersSafely(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				body := bytes.Repeat([]byte{byte('a' + g)}, 1+(g*i*7919)%(80<<10))
+				rec := httptest.NewRecorder()
+				if err := copyFlush(rec, bytes.NewReader(body), g%2 == 0); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(rec.Body.Bytes(), body) {
+					t.Errorf("goroutine %d, response %d: %d bytes arrived, want %d", g, i, rec.Body.Len(), len(body))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -266,3 +266,37 @@ func TestRenderChart(t *testing.T) {
 		t.Error("chart lists a simulation curve for an analysis-only figure")
 	}
 }
+
+// TestCIOnlyBesideSimulatedMean: WriteCSV and Render print a confidence
+// interval only for a point that holds a simulated mean; a point not
+// simulated, or saturated, gets an empty sim_ci cell and a "-" column.
+func TestCIOnlyBesideSimulatedMean(t *testing.T) {
+	nan := math.NaN()
+	r := &scenario.Result{ID: "ci", Title: "ci", Series: []scenario.Series{{Label: "s", Points: []scenario.Point{
+		{Lambda: 1e-4, Analysis: 10, AnalysisSF: nan, Simulation: nan},
+		{Lambda: 2e-4, Analysis: 20, AnalysisSF: nan, Simulation: math.Inf(1)},
+		{Lambda: 3e-4, Analysis: 30, AnalysisSF: nan, Simulation: 31, SimCI: 1.5},
+	}}}}
+	var csv bytes.Buffer
+	if err := scenario.WriteCSV(&csv, r); err != nil {
+		t.Fatal(err)
+	}
+	want := "experiment,series,lambda,analysis,analysis_sf,simulation,sim_ci\n" +
+		"ci,s,0.0001,10,,,\n" +
+		"ci,s,0.0002,20,,inf,\n" +
+		"ci,s,0.0003,30,,31,1.5\n"
+	if csv.String() != want {
+		t.Fatalf("CSV:\n%s\nwant:\n%s", csv.String(), want)
+	}
+	var txt bytes.Buffer
+	if err := scenario.Render(&txt, r); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(txt.String(), "\n")
+	for i, want := range [][2]string{{"-", "-"}, {"sat", "-"}, {"31.0", "1.5"}} {
+		f := strings.Fields(lines[3+i])
+		if len(f) != 5 || f[3] != want[0] || f[4] != want[1] {
+			t.Errorf("row %d = %q, want sim %s and ci95 %s", i, lines[3+i], want[0], want[1])
+		}
+	}
+}

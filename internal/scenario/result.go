@@ -101,7 +101,17 @@ func LightLoadError(r *Result, frac float64) (paperPct, sfPct float64) {
 	return pct[0], pct[1]
 }
 
-// WriteCSV emits the result as CSV: one row per (series, point).
+// ciOf returns p's confidence interval when p holds a simulated mean,
+// and NaN when it holds none: a point not simulated, or saturated.
+func ciOf(p Point) float64 {
+	if math.IsNaN(p.Simulation) || math.IsInf(p.Simulation, 0) {
+		return math.NaN()
+	}
+	return p.SimCI
+}
+
+// WriteCSV emits the result as CSV: one row per (series, point). The
+// sim_ci cell is empty unless the point holds a simulated mean.
 func WriteCSV(w io.Writer, r *Result) error {
 	if _, err := fmt.Fprintln(w, "experiment,series,lambda,analysis,analysis_sf,simulation,sim_ci"); err != nil {
 		return err
@@ -119,7 +129,7 @@ func WriteCSV(w io.Writer, r *Result) error {
 	for _, s := range r.Series {
 		for _, p := range s.Points {
 			if _, err := fmt.Fprintf(w, "%s,%s,%.6g,%s,%s,%s,%s\n",
-				r.ID, s.Label, p.Lambda, f(p.Analysis), f(p.AnalysisSF), f(p.Simulation), f(p.SimCI)); err != nil {
+				r.ID, s.Label, p.Lambda, f(p.Analysis), f(p.AnalysisSF), f(p.Simulation), f(ciOf(p))); err != nil {
 				return err
 			}
 		}
@@ -127,7 +137,8 @@ func WriteCSV(w io.Writer, r *Result) error {
 	return nil
 }
 
-// Render prints a human-readable table of the result.
+// Render prints a human-readable table of the result; the ci95 column
+// reads "-" unless the point holds a simulated mean.
 func Render(w io.Writer, r *Result) error {
 	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title); err != nil {
 		return err
@@ -147,7 +158,7 @@ func Render(w io.Writer, r *Result) error {
 		fmt.Fprintf(w, "%-12s %-9s %-9s %-9s %s\n", "lambda", "analysis", "analy+SF", "sim", "ci95")
 		for _, p := range s.Points {
 			fmt.Fprintf(w, "%-12.3e %s   %s   %s   %s\n",
-				p.Lambda, f(p.Analysis), f(p.AnalysisSF), f(p.Simulation), f(p.SimCI))
+				p.Lambda, f(p.Analysis), f(p.AnalysisSF), f(p.Simulation), f(ciOf(p)))
 		}
 	}
 	for _, n := range r.Notes {

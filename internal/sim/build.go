@@ -12,17 +12,25 @@ import (
 // network instantiates one m-port n-tree as wormhole channels: a
 // node→switch injection and switch→node ejection channel per node
 // (service t_cn, Eq 11) and a pair of directed channels per switch link
-// (service t_cs, Eq 12).
+// (service t_cs, Eq 12). The channels share one slab and carry the
+// network's name; a channel's own name is formatted only for the
+// utilization report (channelName).
 type network struct {
+	name  string
 	tree  *topology.Tree
 	chans map[routing.ChannelKey]*wormhole.Channel
 }
 
 func newNetwork(e *wormhole.Engine, name string, tree *topology.Tree, tcn, tcs float64, depth int) *network {
-	n := &network{tree: tree, chans: make(map[routing.ChannelKey]*wormhole.Channel)}
+	count := 2 * tree.Nodes()
+	for id := 0; id < tree.NumSwitches(); id++ {
+		count += 2 * len(tree.Switch(id).Down)
+	}
+	slab := make([]wormhole.Channel, 0, count)
+	n := &network{name: name, tree: tree, chans: make(map[routing.ChannelKey]*wormhole.Channel, count)}
 	add := func(kind routing.HopKind, from, to int, t float64) {
-		key := routing.ChannelKey{Kind: kind, From: from, To: to}
-		n.chans[key] = e.NewBufferedChannel(fmt.Sprintf("%s/%v:%d->%d", name, kind, from, to), t, depth)
+		slab = append(slab, wormhole.Channel{Name: name, FlitTime: t, BufferDepth: depth})
+		n.chans[routing.ChannelKey{Kind: kind, From: from, To: to}] = &slab[len(slab)-1]
 	}
 	for id := 0; id < tree.NumSwitches(); id++ {
 		sw := tree.Switch(id)
@@ -36,20 +44,13 @@ func newNetwork(e *wormhole.Engine, name string, tree *topology.Tree, tcn, tcs f
 		add(routing.Inject, v, ls, tcn)
 		add(routing.Eject, ls, v, tcn)
 	}
+	e.AddChannels(slab)
 	return n
 }
 
-// channels resolves a routed path to its channel sequence.
-func (n *network) channels(path []routing.Hop) []*wormhole.Channel {
-	out := make([]*wormhole.Channel, len(path))
-	for i, hop := range path {
-		ch, ok := n.chans[hop.Key()]
-		if !ok {
-			panic(fmt.Sprintf("sim: no channel for hop %+v", hop))
-		}
-		out[i] = ch
-	}
-	return out
+// channelName is the diagnostic name of n's channel key.
+func (n *network) channelName(key routing.ChannelKey) string {
+	return fmt.Sprintf("%s/%v:%d->%d", n.name, key.Kind, key.From, key.To)
 }
 
 // clusterNets bundles one cluster's fabric: its two trees plus the
@@ -66,26 +67,33 @@ type clusterNets struct {
 	concEntry []*wormhole.Channel
 	// dispEntry[r]: gateway → ECN1 root r (inbound release).
 	dispEntry []*wormhole.Channel
+
+	nodes, roots int // the cluster's node count and ECN1 root count
+
+	// Route tables (see fabric): intra[srcLocal·nodes + dstLocal],
+	// up[srcLocal·roots + exitRoot] (ECN1 ascent into the gateway),
+	// down[entryRoot·nodes + dstLocal] (out of the gateway, ECN1 descent).
+	intra, up, down []*wormhole.Route
 }
 
 // fabric is the fully instantiated system.
 type fabric struct {
-	sys      *cluster.System
-	clusters []clusterNets
-	icn2     *network
-	offsets  []int // global node id base per cluster
+	sys         *cluster.System
+	engine      *wormhole.Engine
+	clusters    []clusterNets
+	icn2        *network
+	offsets     []int   // global node id base per cluster
+	nodeCluster []int32 // cluster of each global node id
 
-	// Route memos: deterministic routing means every (endpoints) pair
-	// always resolves to the same channel sequence, so paths are built
-	// once and shared read-only across messages. Keys are (cluster,
-	// from, to) with the meaning depending on the segment kind.
-	intraCache map[pathKey][]*wormhole.Channel // {cluster, srcLocal, dstLocal}
-	seg1Cache  map[pathKey][]*wormhole.Channel // {cluster, srcLocal, exitRoot}
-	icn2Cache  map[pathKey][]*wormhole.Channel // {0, srcCluster, dstCluster}
-	seg3Cache  map[pathKey][]*wormhole.Channel // {cluster, entryRoot, dstLocal}
+	// Route tables: deterministic routing means every (endpoints) pair
+	// always resolves to the same channel sequence, so each path is
+	// compiled once, on first use, into a route every message over it
+	// shares. The tables are indexed by endpoints, with no hashing; a
+	// nil entry is not compiled yet. icn2Routes is indexed
+	// srcCluster·C + dstCluster, the cluster tables are in clusterNets.
+	icn2Routes []*wormhole.Route
+	path       []*wormhole.Channel // scratch for the path being compiled
 }
-
-type pathKey struct{ c, a, b int }
 
 func buildFabric(e *wormhole.Engine, sys *cluster.System, flitBytes, bufferDepth int) (*fabric, error) {
 	if bufferDepth < 1 {
@@ -95,34 +103,33 @@ func buildFabric(e *wormhole.Engine, sys *cluster.System, flitBytes, bufferDepth
 	if err != nil {
 		return nil, err
 	}
+	C := sys.NumClusters()
 	f := &fabric{
-		sys:        sys,
-		offsets:    make([]int, sys.NumClusters()+1),
-		intraCache: make(map[pathKey][]*wormhole.Channel),
-		seg1Cache:  make(map[pathKey][]*wormhole.Channel),
-		icn2Cache:  make(map[pathKey][]*wormhole.Channel),
-		seg3Cache:  make(map[pathKey][]*wormhole.Channel),
+		sys:      sys,
+		engine:   e,
+		offsets:  make([]int, C+1),
+		clusters: make([]clusterNets, C),
 	}
 
 	icn2Tree, err := topology.New(sys.Ports, nc)
 	if err != nil {
 		return nil, err
 	}
-	if icn2Tree.Nodes() != sys.NumClusters() {
-		return nil, fmt.Errorf("sim: ICN2 tree has %d leaf slots for %d clusters", icn2Tree.Nodes(), sys.NumClusters())
+	if icn2Tree.Nodes() != C {
+		return nil, fmt.Errorf("sim: ICN2 tree has %d leaf slots for %d clusters", icn2Tree.Nodes(), C)
 	}
 	tcsI2 := sys.ICN2.SwitchChannelTime(flitBytes)
 	f.icn2 = newNetwork(e, "ICN2", icn2Tree, sys.ICN2.NodeChannelTime(flitBytes), tcsI2, bufferDepth)
 
+	tables := C * C // route table entries, one allocation for all
 	for i, cc := range sys.Clusters {
 		tree, err := topology.New(sys.Ports, cc.TreeLevels)
 		if err != nil {
 			return nil, err
 		}
-		cn := clusterNets{
-			icn1: newNetwork(e, fmt.Sprintf("ICN1(%d)", i), tree,
-				cc.ICN1.NodeChannelTime(flitBytes), cc.ICN1.SwitchChannelTime(flitBytes), bufferDepth),
-		}
+		cn := &f.clusters[i]
+		cn.icn1 = newNetwork(e, fmt.Sprintf("ICN1(%d)", i), tree,
+			cc.ICN1.NodeChannelTime(flitBytes), cc.ICN1.SwitchChannelTime(flitBytes), bufferDepth)
 		// ECN1 is a second, independent fabric over the same node set
 		// (processors reach it directly, Fig 2 of the paper).
 		ecn1Tree, err := topology.New(sys.Ports, cc.TreeLevels)
@@ -132,88 +139,155 @@ func buildFabric(e *wormhole.Engine, sys *cluster.System, flitBytes, bufferDepth
 		cn.ecn1 = newNetwork(e, fmt.Sprintf("ECN1(%d)", i), ecn1Tree,
 			cc.ECN1.NodeChannelTime(flitBytes), cc.ECN1.SwitchChannelTime(flitBytes), bufferDepth)
 
-		roots := ecn1Tree.NumRoots()
-		cn.concEntry = make([]*wormhole.Channel, roots)
-		cn.dispEntry = make([]*wormhole.Channel, roots)
-		for r := 0; r < roots; r++ {
-			cn.concEntry[r] = e.NewBufferedChannel(fmt.Sprintf("CD(%d)/conc-root%d", i, r), tcsI2, bufferDepth)
-			cn.dispEntry[r] = e.NewBufferedChannel(fmt.Sprintf("CD(%d)/disp-root%d", i, r), tcsI2, bufferDepth)
+		cn.nodes, cn.roots = tree.Nodes(), ecn1Tree.NumRoots()
+		gate := make([]wormhole.Channel, 2*cn.roots)
+		name := fmt.Sprintf("CD(%d)", i)
+		for r := range gate {
+			gate[r] = wormhole.Channel{Name: name, FlitTime: tcsI2, BufferDepth: bufferDepth}
 		}
-		f.clusters = append(f.clusters, cn)
-		f.offsets[i+1] = f.offsets[i] + tree.Nodes()
+		e.AddChannels(gate)
+		ports := make([]*wormhole.Channel, 2*cn.roots)
+		cn.concEntry, cn.dispEntry = ports[:cn.roots:cn.roots], ports[cn.roots:]
+		for r := 0; r < cn.roots; r++ {
+			cn.concEntry[r] = &gate[r]
+			cn.dispEntry[r] = &gate[cn.roots+r]
+		}
+		f.offsets[i+1] = f.offsets[i] + cn.nodes
+		tables += cn.nodes*cn.nodes + 2*cn.nodes*cn.roots
+	}
+
+	f.nodeCluster = nodeClusters(f.offsets)
+	routes := make([]*wormhole.Route, tables)
+	take := func(n int) []*wormhole.Route {
+		t := routes[:n:n]
+		routes = routes[n:]
+		return t
+	}
+	f.icn2Routes = take(C * C)
+	for i := range f.clusters {
+		cn := &f.clusters[i]
+		cn.intra = take(cn.nodes * cn.nodes)
+		cn.up = take(cn.nodes * cn.roots)
+		cn.down = take(cn.roots * cn.nodes)
 	}
 	return f, nil
+}
+
+// nodeClusters maps every global node id to its cluster, given each
+// cluster's first id (offsets, which end with the node count).
+func nodeClusters(offsets []int) []int32 {
+	out := make([]int32, offsets[len(offsets)-1])
+	for c := 0; c+1 < len(offsets); c++ {
+		for v := offsets[c]; v < offsets[c+1]; v++ {
+			out[v] = int32(c)
+		}
+	}
+	return out
 }
 
 // totalNodes returns the global node count.
 func (f *fabric) totalNodes() int { return f.offsets[len(f.offsets)-1] }
 
 // clusterOf locates the cluster of a global node id.
-func (f *fabric) clusterOf(node int) int {
-	lo, hi := 0, len(f.offsets)-1
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if node < f.offsets[mid] {
-			hi = mid
-		} else {
-			lo = mid
+func (f *fabric) clusterOf(node int) int { return int(f.nodeCluster[node]) }
+
+// compile resolves a routed path in network n to its channels, with
+// first (if non-nil) ahead of them and last (if non-nil) after them, and
+// compiles the sequence into a route.
+func (f *fabric) compile(n *network, path []routing.Hop, first, last *wormhole.Channel) *wormhole.Route {
+	p := f.path[:0]
+	if first != nil {
+		p = append(p, first)
+	}
+	for _, hop := range path {
+		ch, ok := n.chans[hop.Key()]
+		if !ok {
+			panic(fmt.Sprintf("sim: no channel for hop %+v", hop))
 		}
+		p = append(p, ch)
 	}
-	return lo
+	if last != nil {
+		p = append(p, last)
+	}
+	f.path = p
+	return f.engine.NewRoute(p)
 }
 
-// intraPath builds (or recalls) the single-segment channel sequence for
-// a message that stays inside cluster c.
-func (f *fabric) intraPath(c, srcLocal, dstLocal int) []*wormhole.Channel {
-	key := pathKey{c, srcLocal, dstLocal}
-	if p, ok := f.intraCache[key]; ok {
-		return p
-	}
+// intraRoute compiles (or recalls) the single-segment route of a message
+// that stays inside cluster c.
+func (f *fabric) intraRoute(c, srcLocal, dstLocal int) *wormhole.Route {
 	cn := &f.clusters[c]
-	p := cn.icn1.channels(routing.Route(cn.icn1.tree, srcLocal, dstLocal))
-	f.intraCache[key] = p
-	return p
+	r := &cn.intra[srcLocal*cn.nodes+dstLocal]
+	if *r == nil {
+		*r = f.compile(cn.icn1, routing.Route(cn.icn1.tree, srcLocal, dstLocal), nil, nil)
+	}
+	return *r
 }
 
-// interPath builds the three chained segments of an inter-cluster
-// message: ECN1(i) ascent to the gateway, the ICN2 leaf-to-leaf journey,
-// and the ECN1(j) descent from the gateway to the destination. Gateways
-// store-and-forward whole messages between segments, which decouples the
-// wormhole dependency chains of the three networks (deadlock freedom) and
-// is what the model's C/D M/G/1 queues stand for.
-func (f *fabric) interPath(srcCluster, dstCluster, srcLocal, dstLocal, dstGlobal int) [3][]*wormhole.Channel {
-	srcNets := &f.clusters[srcCluster]
-	dstNets := &f.clusters[dstCluster]
+// interRoutes compiles (or recalls) the three chained segments of an
+// inter-cluster message: ECN1(i) ascent to the gateway, the ICN2
+// leaf-to-leaf journey, and the ECN1(j) descent from the gateway to the
+// destination. Gateways store-and-forward whole messages between
+// segments, which decouples the wormhole dependency chains of the three
+// networks (deadlock freedom) and is what the model's C/D M/G/1 queues
+// stand for.
+func (f *fabric) interRoutes(srcCluster, dstCluster, srcLocal, dstLocal, dstGlobal int) [3]*wormhole.Route {
+	src := &f.clusters[srcCluster]
+	dst := &f.clusters[dstCluster]
 
 	// Segment 1: ascend ECN1(i) to the exit root chosen by destination
 	// hash (balances gateway ports), then cross into the gateway.
-	exitRoot := dstGlobal % srcNets.ecn1.tree.NumRoots()
-	k1 := pathKey{srcCluster, srcLocal, exitRoot}
-	seg1, ok := f.seg1Cache[k1]
-	if !ok {
-		up := routing.RouteToRoot(srcNets.ecn1.tree, srcLocal, exitRoot)
-		seg1 = append(srcNets.ecn1.channels(up), srcNets.concEntry[exitRoot])
-		f.seg1Cache[k1] = seg1
+	exitRoot := dstGlobal % src.roots
+	up := &src.up[srcLocal*src.roots+exitRoot]
+	if *up == nil {
+		*up = f.compile(src.ecn1, routing.RouteToRoot(src.ecn1.tree, srcLocal, exitRoot), nil, src.concEntry[exitRoot])
 	}
 
 	// Segment 2: ICN2 treats gateways as its leaves.
-	k2 := pathKey{0, srcCluster, dstCluster}
-	seg2, ok := f.icn2Cache[k2]
-	if !ok {
-		seg2 = f.icn2.channels(routing.Route(f.icn2.tree, srcCluster, dstCluster))
-		f.icn2Cache[k2] = seg2
+	mid := &f.icn2Routes[srcCluster*len(f.clusters)+dstCluster]
+	if *mid == nil {
+		*mid = f.compile(f.icn2, routing.Route(f.icn2.tree, srcCluster, dstCluster), nil, nil)
 	}
 
 	// Segment 3: leave the gateway through the destination-hashed root of
 	// ECN1(j) and descend.
-	entryRoot := dstGlobal % dstNets.ecn1.tree.NumRoots()
-	k3 := pathKey{dstCluster, entryRoot, dstLocal}
-	seg3, ok := f.seg3Cache[k3]
-	if !ok {
-		down := routing.RouteFromRoot(dstNets.ecn1.tree, entryRoot, dstLocal)
-		seg3 = append([]*wormhole.Channel{dstNets.dispEntry[entryRoot]}, dstNets.ecn1.channels(down)...)
-		f.seg3Cache[k3] = seg3
+	entryRoot := dstGlobal % dst.roots
+	down := &dst.down[entryRoot*dst.nodes+dstLocal]
+	if *down == nil {
+		*down = f.compile(dst.ecn1, routing.RouteFromRoot(dst.ecn1.tree, entryRoot, dstLocal), dst.dispEntry[entryRoot], nil)
 	}
 
-	return [3][]*wormhole.Channel{seg1, seg2, seg3}
+	return [3]*wormhole.Route{*up, *mid, *down}
+}
+
+// visit calls fn for every channel of the fabric, with whether it is a
+// gateway's ICN2 injection channel and, when named is set, its
+// diagnostic name ("" otherwise).
+func (f *fabric) visit(named bool, fn func(ch *wormhole.Channel, name string, gateway bool)) {
+	each := func(n *network) {
+		for key, ch := range n.chans {
+			name := ""
+			if named {
+				name = n.channelName(key)
+			}
+			fn(ch, name, n == f.icn2 && key.Kind == routing.Inject)
+		}
+	}
+	gate := func(chans []*wormhole.Channel, kind string) {
+		for r, ch := range chans {
+			name := ""
+			if named {
+				name = fmt.Sprintf("%s/%s-root%d", ch.Name, kind, r)
+			}
+			fn(ch, name, false)
+		}
+	}
+	for i := range f.clusters {
+		cn := &f.clusters[i]
+		each(cn.icn1)
+		each(cn.ecn1)
+		gate(cn.concEntry, "conc")
+		gate(cn.dispEntry, "disp")
+	}
+	each(f.icn2)
 }

@@ -22,6 +22,13 @@ func buildTestFabric(t *testing.T, sys *cluster.System) *fabric {
 	return f
 }
 
+// channelNames maps every channel of f to its diagnostic name.
+func channelNames(f *fabric) map[*wormhole.Channel]string {
+	names := make(map[*wormhole.Channel]string)
+	f.visit(true, func(ch *wormhole.Channel, name string, _ bool) { names[ch] = name })
+	return names
+}
+
 func TestFabricChannelCounts(t *testing.T) {
 	sys := cluster.System544()
 	f := buildTestFabric(t, sys)
@@ -53,6 +60,7 @@ func TestFabricChannelCounts(t *testing.T) {
 func TestIntraPathShape(t *testing.T) {
 	sys := cluster.System544()
 	f := buildTestFabric(t, sys)
+	names := channelNames(f)
 	// Cluster 0 (n=3): path lengths are 2h for h∈1..3.
 	tree := f.clusters[0].icn1.tree
 	for src := 0; src < tree.Nodes(); src++ {
@@ -60,14 +68,14 @@ func TestIntraPathShape(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			path := f.intraPath(0, src, dst)
+			path := f.intraRoute(0, src, dst).Channels
 			if want := tree.DistanceLinks(src, dst); len(path) != want {
 				t.Fatalf("intra path %d→%d has %d channels, want %d", src, dst, len(path), want)
 			}
 			// All channels belong to ICN1(0).
 			for _, ch := range path {
-				if !strings.HasPrefix(ch.Name, "ICN1(0)/") {
-					t.Fatalf("intra path uses foreign channel %s", ch.Name)
+				if !strings.HasPrefix(names[ch], "ICN1(0)/") {
+					t.Fatalf("intra path uses foreign channel %s", names[ch])
 				}
 			}
 		}
@@ -77,23 +85,25 @@ func TestIntraPathShape(t *testing.T) {
 func TestInterPathShape(t *testing.T) {
 	sys := cluster.System544()
 	f := buildTestFabric(t, sys)
+	names := channelNames(f)
 	nc, _ := sys.ICN2Levels()
 
 	srcCluster, dstCluster := 2, 11 // 16-node → 64-node cluster
 	srcLocal, dstLocal := 3, 17
 	dstGlobal := f.offsets[dstCluster] + dstLocal
-	segs := f.interPath(srcCluster, dstCluster, srcLocal, dstLocal, dstGlobal)
+	routes := f.interRoutes(srcCluster, dstCluster, srcLocal, dstLocal, dstGlobal)
+	segs := [3][]*wormhole.Channel{routes[0].Channels, routes[1].Channels, routes[2].Channels}
 
 	// Segment 1: n_i links up plus the gateway port.
 	ni := sys.Clusters[srcCluster].TreeLevels
 	if len(segs[0]) != ni+1 {
 		t.Fatalf("segment 1 has %d channels, want %d", len(segs[0]), ni+1)
 	}
-	if !strings.HasPrefix(segs[0][0].Name, "ECN1(2)/inject") {
-		t.Fatalf("segment 1 starts with %s", segs[0][0].Name)
+	if !strings.HasPrefix(names[segs[0][0]], "ECN1(2)/inject") {
+		t.Fatalf("segment 1 starts with %s", names[segs[0][0]])
 	}
-	if !strings.HasPrefix(segs[0][len(segs[0])-1].Name, "CD(2)/conc") {
-		t.Fatalf("segment 1 ends with %s", segs[0][len(segs[0])-1].Name)
+	if !strings.HasPrefix(names[segs[0][len(segs[0])-1]], "CD(2)/conc") {
+		t.Fatalf("segment 1 ends with %s", names[segs[0][len(segs[0])-1]])
 	}
 
 	// Segment 2: a leaf-to-leaf ICN2 journey (2l links, l ≤ n_c).
@@ -101,8 +111,8 @@ func TestInterPathShape(t *testing.T) {
 		t.Fatalf("segment 2 has %d channels, want even in [2,%d]", len(segs[1]), 2*nc)
 	}
 	for _, ch := range segs[1] {
-		if !strings.HasPrefix(ch.Name, "ICN2/") {
-			t.Fatalf("segment 2 uses %s", ch.Name)
+		if !strings.HasPrefix(names[ch], "ICN2/") {
+			t.Fatalf("segment 2 uses %s", names[ch])
 		}
 	}
 
@@ -111,12 +121,12 @@ func TestInterPathShape(t *testing.T) {
 	if len(segs[2]) != nj+1 {
 		t.Fatalf("segment 3 has %d channels, want %d", len(segs[2]), nj+1)
 	}
-	if !strings.HasPrefix(segs[2][0].Name, "CD(11)/disp") {
-		t.Fatalf("segment 3 starts with %s", segs[2][0].Name)
+	if !strings.HasPrefix(names[segs[2][0]], "CD(11)/disp") {
+		t.Fatalf("segment 3 starts with %s", names[segs[2][0]])
 	}
 	last := segs[2][len(segs[2])-1]
-	if !strings.HasPrefix(last.Name, "ECN1(11)/eject") {
-		t.Fatalf("segment 3 ends with %s", last.Name)
+	if !strings.HasPrefix(names[last], "ECN1(11)/eject") {
+		t.Fatalf("segment 3 ends with %s", names[last])
 	}
 }
 
@@ -125,12 +135,13 @@ func TestInterPathBalancesGatewayPorts(t *testing.T) {
 	// root ports of multi-root clusters.
 	sys := cluster.System544()
 	f := buildTestFabric(t, sys)
+	names := channelNames(f)
 	srcCluster := 11 // 64 nodes, 16 roots
 	used := map[string]bool{}
 	for dstGlobal := 0; dstGlobal < f.offsets[11]; dstGlobal++ {
 		dstCluster := f.clusterOf(dstGlobal)
-		segs := f.interPath(srcCluster, dstCluster, 5, dstGlobal-f.offsets[dstCluster], dstGlobal)
-		used[segs[0][len(segs[0])-1].Name] = true
+		up := f.interRoutes(srcCluster, dstCluster, 5, dstGlobal-f.offsets[dstCluster], dstGlobal)[0].Channels
+		used[names[up[len(up)-1]]] = true
 	}
 	roots := f.clusters[srcCluster].ecn1.tree.NumRoots()
 	if len(used) != roots {

@@ -15,7 +15,6 @@ import (
 	"github.com/ccnet/ccnet/internal/des"
 	"github.com/ccnet/ccnet/internal/netchar"
 	"github.com/ccnet/ccnet/internal/rng"
-	"github.com/ccnet/ccnet/internal/routing"
 	"github.com/ccnet/ccnet/internal/stats"
 	"github.com/ccnet/ccnet/internal/trace"
 	"github.com/ccnet/ccnet/internal/traffic"
@@ -129,8 +128,8 @@ type Metrics struct {
 func (m *Metrics) MeanLatency() float64 { return m.Latency.Mean() }
 
 // message tracks one end-to-end transfer through up to three journeys:
-// segs holds its channel paths (one for intra, three for inter) and seg
-// the index of the segment in flight.
+// segs holds its routes (one for intra, three for inter) and seg the
+// index of the segment in flight.
 type message struct {
 	id        uint64
 	src, dst  int
@@ -138,7 +137,7 @@ type message struct {
 	phase     stats.Phase
 	intra     bool
 	segStarts []float64
-	segs      [3][]*wormhole.Channel
+	segs      [3]*wormhole.Route
 	seg       int
 }
 
@@ -258,7 +257,7 @@ func Run(cfg Config) (*Metrics, error) {
 	var onSegment func(jn *wormhole.Journey, exits []float64)
 	startSegment := func(msg *message, at float64) {
 		j := engine.NewJourney()
-		j.Channels = msg.segs[msg.seg]
+		j.Route = msg.segs[msg.seg]
 		j.Flits = cfg.Msg.Flits
 		j.OnComplete = onSegment
 		j.Tag = msg
@@ -307,24 +306,24 @@ func Run(cfg Config) (*Metrics, error) {
 		dstLocal := dst - f.offsets[dstCluster]
 		if srcCluster == dstCluster {
 			msg.intra = true
-			msg.segs[0] = f.intraPath(srcCluster, srcLocal, dstLocal)
+			msg.segs[0] = f.intraRoute(srcCluster, srcLocal, dstLocal)
 		} else {
-			msg.segs = f.interPath(srcCluster, dstCluster, srcLocal, dstLocal, dst)
+			msg.segs = f.interRoutes(srcCluster, dstCluster, srcLocal, dstLocal, dst)
 		}
 		startSegment(msg, at)
 	}
 
 	// Self-perpetuating generation: the paper keeps generating through
-	// the drain phase so that measured messages complete under load. The
-	// arrival handler is one shared func value and the source ids are
-	// boxed once, so each arrival event allocates nothing.
-	srcArg := make([]any, f.totalNodes())
-	for i := range srcArg {
-		srcArg[i] = i
+	// the drain phase so that measured messages complete under load. An
+	// arrival is an engine Post event carrying its source node.
+	generate := func() {
+		t, src := source.Next()
+		if active != nil {
+			src = active[src]
+		}
+		engine.Post(t, src)
 	}
-	var generate func()
-	var onArrival func(any)
-	onArrival = func(a any) {
+	engine.OnPost = func(src int) {
 		if collector.DoneMeasuring() || aborted {
 			return // stop generating; let the pending events drain
 		}
@@ -332,15 +331,8 @@ func Run(cfg Config) (*Metrics, error) {
 			aborted = true
 			return
 		}
-		launch(a.(int), kernel.Now())
+		launch(src, kernel.Now())
 		generate()
-	}
-	generate = func() {
-		t, src := source.Next()
-		if active != nil {
-			src = active[src]
-		}
-		kernel.ScheduleCallAt(t, onArrival, srcArg[src])
 	}
 	generate()
 
@@ -360,33 +352,15 @@ func Run(cfg Config) (*Metrics, error) {
 	if cfg.CollectChannelUtil {
 		metrics.ChannelUtil = make(map[string]float64)
 	}
-	record := func(ch *wormhole.Channel, gateway bool) {
+	f.visit(cfg.CollectChannelUtil, func(ch *wormhole.Channel, name string, gateway bool) {
 		u := ch.Utilization(now)
 		metrics.MaxChannelUtil = math.Max(metrics.MaxChannelUtil, u)
 		if gateway {
 			metrics.MaxGatewayUtil = math.Max(metrics.MaxGatewayUtil, u)
 		}
 		if metrics.ChannelUtil != nil {
-			metrics.ChannelUtil[ch.Name] = u
+			metrics.ChannelUtil[name] = u
 		}
-	}
-	for i := range f.clusters {
-		cn := &f.clusters[i]
-		for _, ch := range cn.icn1.chans {
-			record(ch, false)
-		}
-		for _, ch := range cn.ecn1.chans {
-			record(ch, false)
-		}
-		for _, ch := range cn.concEntry {
-			record(ch, false)
-		}
-		for _, ch := range cn.dispEntry {
-			record(ch, false)
-		}
-	}
-	for key, ch := range f.icn2.chans {
-		record(ch, key.Kind == routing.Inject)
-	}
+	})
 	return metrics, nil
 }

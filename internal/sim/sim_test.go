@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"github.com/ccnet/ccnet/internal/cluster"
@@ -265,6 +268,24 @@ func TestChannelUtilCollection(t *testing.T) {
 	if math.Abs(maxU-m.MaxChannelUtil) > 1e-12 {
 		t.Fatalf("map max %v != MaxChannelUtil %v", maxU, m.MaxChannelUtil)
 	}
+	// Every key and value is pinned: the SHA-256 of the sorted
+	// "name bits" lines, recorded when each channel still carried its
+	// full name.
+	names := make([]string, 0, len(m.ChannelUtil))
+	for name := range m.ChannelUtil {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		fmt.Fprintf(h, "%s %016x\n", name, math.Float64bits(m.ChannelUtil[name]))
+	}
+	const want = "9b9b88841f22c22bb0df15f764c518f1c1b7f3ba591d2b2b032ad5f7c7f71de3"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); len(names) != 180 || got != want ||
+		names[0] != "CD(0)/conc-root0" || names[len(names)-1] != "ICN2/inject:3->0" {
+		t.Fatalf("%d channels %q … %q, digest %s; want 180, CD(0)/conc-root0 … ICN2/inject:3->0, %s",
+			len(names), names[0], names[len(names)-1], got, want)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -323,6 +344,7 @@ func TestFabricStructure(t *testing.T) {
 
 func TestClusterOfOffsets(t *testing.T) {
 	f := &fabric{offsets: []int{0, 8, 40, 168}}
+	f.nodeCluster = nodeClusters(f.offsets)
 	cases := map[int]int{0: 0, 7: 0, 8: 1, 39: 1, 40: 2, 167: 2}
 	for node, want := range cases {
 		if got := f.clusterOf(node); got != want {

@@ -21,7 +21,7 @@ func TestDeepBuffersMatchShallowWhenUncontended(t *testing.T) {
 			chans[i] = e.NewBufferedChannel("c", s, depth)
 		}
 		var exits []float64
-		e.Start(&Journey{Channels: chans, Flits: M, OnComplete: func(_ *Journey, ex []float64) {
+		e.Start(&Journey{Route: e.NewRoute(chans), Flits: M, OnComplete: func(_ *Journey, ex []float64) {
 			exits = append([]float64{}, ex...)
 		}}, 0)
 		k.Run(nil)
@@ -48,9 +48,9 @@ func TestDeepBuffersAbsorbBlocking(t *testing.T) {
 		y := e.NewBufferedChannel("y", 1.0, depth)
 		z := e.NewBufferedChannel("z", 1.0, depth)
 		// A occupies z for [0,4]; B goes y→z; C wants y.
-		e.Start(&Journey{Channels: []*Channel{z}, Flits: M}, 0)
-		e.Start(&Journey{Channels: []*Channel{y, z}, Flits: M}, 0)
-		e.Start(&Journey{Channels: []*Channel{y}, Flits: M, OnComplete: func(_ *Journey, ex []float64) {
+		e.Start(&Journey{Route: e.NewRoute([]*Channel{z}), Flits: M}, 0)
+		e.Start(&Journey{Route: e.NewRoute([]*Channel{y, z}), Flits: M}, 0)
+		e.Start(&Journey{Route: e.NewRoute([]*Channel{y}), Flits: M, OnComplete: func(_ *Journey, ex []float64) {
 			cDone = ex[M-1]
 		}}, 0.5)
 		k.Run(nil)
@@ -77,8 +77,8 @@ func TestIntermediateDepthInterpolates(t *testing.T) {
 		e := NewEngine(&k)
 		y := e.NewBufferedChannel("y", 1.0, depth)
 		z := e.NewBufferedChannel("z", 1.0, depth)
-		e.Start(&Journey{Channels: []*Channel{z}, Flits: M}, 0) // blocker
-		e.Start(&Journey{Channels: []*Channel{y, z}, Flits: M}, 0)
+		e.Start(&Journey{Route: e.NewRoute([]*Channel{z}), Flits: M}, 0) // blocker
+		e.Start(&Journey{Route: e.NewRoute([]*Channel{y, z}), Flits: M}, 0)
 		k.Run(nil)
 		return y.BusyTime // y held exactly [0, tail crossing]
 	}
@@ -109,7 +109,7 @@ func TestBufferDepthConservation(t *testing.T) {
 			for i := lo; i <= hi; i++ {
 				chans = append(chans, pool[i])
 			}
-			e.Start(&Journey{Channels: chans, Flits: 1 + m%9, OnComplete: func(_ *Journey, ex []float64) {
+			e.Start(&Journey{Route: e.NewRoute(chans), Flits: 1 + m%9, OnComplete: func(_ *Journey, ex []float64) {
 				done++
 				for i := 1; i < len(ex); i++ {
 					if ex[i] <= ex[i-1] {
@@ -149,7 +149,7 @@ func TestUncontendedClosedFormProperty(t *testing.T) {
 			}
 		}
 		var delivered float64
-		e.Start(&Journey{Channels: chans, Flits: M, OnComplete: func(_ *Journey, ex []float64) {
+		e.Start(&Journey{Route: e.NewRoute(chans), Flits: M, OnComplete: func(_ *Journey, ex []float64) {
 			delivered = ex[M-1]
 		}}, 0)
 		k.Run(nil)

@@ -96,7 +96,7 @@ func TestEngineMatchesReferenceUnderContention(t *testing.T) {
 					avail[j] = float64(m) + float64(j)*0.05
 				}
 			}
-			jn := &Journey{Channels: chans, Flits: flits, Avail: avail}
+			jn := &Journey{Route: e.NewRoute(chans), Flits: flits, Avail: avail}
 			jn.OnComplete = func(j *Journey, exits []float64) {
 				cp := append([]float64{}, exits...)
 				finished = append(finished, done{j: j, exits: cp, avail: avail})
@@ -108,7 +108,7 @@ func TestEngineMatchesReferenceUnderContention(t *testing.T) {
 			return false
 		}
 		for _, d := range finished {
-			want := referenceExits(d.j.Channels, d.j.Flits, d.j.Acquire, d.avail)
+			want := referenceExits(d.j.Route.Channels, d.j.Flits, d.j.Acquire, d.avail)
 			for j := range want {
 				if math.Float64bits(want[j]) != math.Float64bits(d.exits[j]) {
 					t.Logf("flit %d: engine %v, reference %v", j, d.exits[j], want[j])
@@ -121,7 +121,7 @@ func TestEngineMatchesReferenceUnderContention(t *testing.T) {
 		for _, ch := range pool {
 			var uses uint64
 			for _, d := range finished {
-				for _, c := range d.j.Channels {
+				for _, c := range d.j.Route.Channels {
 					if c == ch {
 						uses++
 					}

@@ -47,7 +47,7 @@ func fillSchedule(t testing.TB, c onePassShape, onePass bool) (start, exits []fl
 		chans[i] = e.NewBufferedChannel(fmt.Sprint("c", i), s, depth)
 		index[chans[i]] = i
 	}
-	j := &Journey{Channels: chans, Flits: c.flits, Avail: c.avail}
+	j := &Journey{Route: e.NewRoute(chans), Flits: c.flits, Avail: c.avail}
 	j.prepare()
 	if !j.onePass {
 		t.Fatalf("L=%d M=%d B_0=%d: journey does not take the one-pass fill", L, c.flits, c.depth0)
@@ -57,12 +57,12 @@ func fillSchedule(t testing.TB, c onePassShape, onePass bool) (start, exits []fl
 		j.Acquire[i] = a
 		a = a + s + c.gaps[i]
 	}
-	e.handlers()
-	e.releaseFn = func(x any) { rel = append(rel, releaseAt{k.Now(), index[x.(*Channel)]}) }
+	k.SetDispatch(func(ref int) { rel = append(rel, releaseAt{k.Now(), index[e.channels[ref>>refBits]]}) })
 	if onePass {
 		j.acquired = L
 		e.fillOnePass(j)
 	} else {
+		j.ints = make([]int, 2*L) // settle's state, which prepare skips for one-pass journeys
 		for j.acquired = 1; j.acquired <= L; j.acquired++ {
 			e.settle(j)
 		}
@@ -160,7 +160,7 @@ func TestOnePassSelection(t *testing.T) {
 		{path(1, 1, 1, 4), 16, false},
 	}
 	for i, c := range cases {
-		j := &Journey{Channels: c.chans, Flits: c.flits}
+		j := &Journey{Route: e.NewRoute(c.chans), Flits: c.flits}
 		j.prepare()
 		if j.onePass != c.want {
 			t.Errorf("case %d: onePass = %v, want %v", i, j.onePass, c.want)

@@ -59,13 +59,13 @@ func pinDigest(c pinCase) string {
 	}
 
 	h := sha256.New()
-	e.handlers()
-	release := e.releaseFn
-	e.releaseFn = func(a any) {
-		writeInts(h, -1, index[a.(*Channel)])
-		writeFloats(h, k.Now())
-		release(a)
-	}
+	k.SetDispatch(func(ref int) {
+		if ref&refMask == refRelease {
+			writeInts(h, -1, index[e.channels[ref>>refBits]])
+			writeFloats(h, k.Now())
+		}
+		e.fire(ref)
+	})
 
 	type meta struct{ id, chained int }
 	ids := make(map[*Journey]meta)
@@ -78,7 +78,7 @@ func pinDigest(c pinCase) string {
 	var onComplete func(j *Journey, exits []float64)
 	start := func(chans []*Channel, flits int, avail []float64, at float64, chained int) {
 		j := e.NewJourney()
-		j.Channels, j.Flits, j.Avail, j.OnComplete = chans, flits, avail, onComplete
+		j.Route, j.Flits, j.Avail, j.OnComplete = e.NewRoute(chans), flits, avail, onComplete
 		ids[j] = meta{next, chained}
 		next++
 		e.Start(j, at)
@@ -86,7 +86,7 @@ func pinDigest(c pinCase) string {
 	onComplete = func(j *Journey, exits []float64) {
 		m := ids[j]
 		delete(ids, j)
-		writeInts(h, m.id, len(j.Channels), j.Flits)
+		writeInts(h, m.id, len(j.Route.Channels), j.Flits)
 		writeFloats(h, j.Acquire...)
 		writeFloats(h, exits...)
 		if m.chained > 0 {

@@ -49,6 +49,16 @@
 // Journeys may be chained through store-and-forward points (the paper's
 // concentrator/dispatcher buffers) by feeding one journey's per-flit exit
 // times into the next journey's Avail vector.
+//
+// The engine owns its kernel's dispatch. Every event it schedules is a
+// plain integer ref: a head request names its journey by an id the
+// journey holds while in flight (a completed journey gives it back, so
+// journeys nobody recycles are not kept alive), a tail release names its
+// channel by the id AddChannels gave it, and one caller event kind, Post,
+// hands an integer to OnPost. A path is compiled once into a Route that
+// every journey over it shares: each channel's flit time, buffer depth
+// and release ref, and whether the one-pass fill can apply, so starting
+// a journey copies and checks nothing per channel.
 package wormhole
 
 import (
@@ -56,6 +66,17 @@ import (
 	"math"
 
 	"github.com/ccnet/ccnet/internal/des"
+)
+
+// Event refs: the low refBits bits name the kind, the rest the journey
+// id (refRequest), channel id (refRelease) or Post argument (refPost).
+const (
+	refRequest = iota
+	refRelease
+	refPost
+
+	refBits = 2
+	refMask = 1<<refBits - 1
 )
 
 // Channel is a unidirectional link (or gateway port) that one message
@@ -72,6 +93,7 @@ type Channel struct {
 	// behaviour. NewChannel sets 1.
 	BufferDepth int
 
+	id      int // index in the engine's channel registry
 	busy    bool
 	waiters fifo
 
@@ -97,11 +119,32 @@ func (c *Channel) Utilization(now float64) float64 {
 // QueueLen returns the number of messages currently waiting on the channel.
 func (c *Channel) QueueLen() int { return c.waiters.len() }
 
-// Journey is one wormhole traversal of a channel sequence by a message of
+// Route is a channel path compiled by Engine.NewRoute. It is read-only
+// and shared by every journey that takes the path.
+type Route struct {
+	Channels []*Channel
+
+	// hops holds, per channel, what the fill and the releases read: s_k,
+	// B_k and the release ref, copied at compile time.
+	hops []hop
+
+	// single is set when every channel after the first has a one-flit
+	// buffer; a journey of at least len(Channels) flits then takes the
+	// one-pass fill.
+	single bool
+}
+
+type hop struct {
+	s   float64 // flit time
+	b   int     // buffer depth
+	rel int     // release event ref
+}
+
+// Journey is one wormhole traversal of a compiled route by a message of
 // Flits flits.
 type Journey struct {
-	Channels []*Channel
-	Flits    int
+	Route *Route
+	Flits int
 
 	// Avail[j], when non-nil, is the earliest time flit j can enter
 	// Channels[0] (it is still arriving from an upstream journey). A nil
@@ -121,57 +164,88 @@ type Journey struct {
 	Tag any
 
 	// Acquire[k], filled in by the engine, is the time the head acquired
-	// Channels[k]: row 0 of the start matrix. Exposed for latency
+	// Route.Channels[k]: row 0 of the start matrix. Exposed for latency
 	// decomposition in tests and stats.
 	Acquire []float64
 
+	id       int // registry index from Start to the last grant
 	idx      int // next channel index to acquire
 	acquired int // channels acquired so far
 
 	// Flit-schedule state, allocated at the first grant and reusable
 	// through Engine.Recycle. floats holds the start(j,k) matrix
-	// row-major (start[j·L+k], so Acquire is its first row), then exits,
-	// then each channel's s_k; ints holds each channel's B_k, then the
-	// settled row count of each column, then the frontier u_k of the
-	// current grant. Copying s_k and B_k means filling a cell reads no
-	// *Channel, and a journey costs two allocations.
-	floats   []float64 // start (L·M) | exits (M) | flit times (L)
-	ints     []int     // depths (L) | settled (L) | frontier (L)
+	// row-major (start[j·L+k], so Acquire is its first row), then exits.
+	// ints, used by settle only, holds the settled row count of each
+	// column, then the frontier u_k of the current grant.
+	floats   []float64 // start (L·M) | exits (M)
+	ints     []int     // settled (L) | frontier (L)
 	exits    []float64 // d(j, L−1), a view into floats
 	prepared bool
 
-	// onePass is set by prepare when every channel after the first has a
-	// single-flit buffer and Flits ≥ L: nothing settles before the last
-	// grant, which fills the whole schedule with fillOnePass.
+	// onePass is set by prepare when the route has single-flit buffers
+	// after the first channel and Flits ≥ L: nothing settles before the
+	// last grant, which fills the whole schedule with fillOnePass.
 	onePass bool
 }
 
-// Engine drives journeys over a shared event kernel.
+// Engine drives journeys over an event kernel whose dispatch it owns.
 type Engine struct {
 	K *des.Kernel
 
 	// Started and Completed count journeys, for conservation checks.
 	Started, Completed uint64
 
-	// requestFn and releaseFn are the shared des.ScheduleCall handlers
-	// for head advancement and tail release — one func value each for
-	// the whole run, so steady-state scheduling allocates no closures.
-	requestFn func(any)
-	releaseFn func(any)
+	// OnPost receives the argument of every event scheduled with Post.
+	OnPost func(arg int)
 
-	free []*Journey // Recycle freelist
+	// journeys is the registry of journeys in flight, indexed by the id
+	// their head requests carry. A free entry links the next free one.
+	journeys []idSlot
+	freeID   int // 1 + the first free journeys index; 0 when none is
+
+	channels []*Channel // indexed by the id their releases carry
+	free     []*Journey // Recycle freelist
+
+	// Route storage: NewRoute carves each route from these chunks.
+	routes slab[Route]
+	paths  slab[*Channel]
+	hops   slab[hop]
 }
 
-// NewEngine returns an Engine bound to kernel k.
-func NewEngine(k *des.Kernel) *Engine { return &Engine{K: k} }
+type idSlot struct {
+	j    *Journey
+	next int // while free: 1 + the next free index, 0 at the end
+}
 
-// handlers lazily builds the shared event handlers (NewEngine callers
-// get them on first Start; zero-value Engines too).
-func (e *Engine) handlers() {
-	if e.requestFn == nil {
-		e.requestFn = func(a any) { e.request(a.(*Journey)) }
-		e.releaseFn = func(a any) { e.release(a.(*Channel)) }
+// NewEngine returns an Engine bound to kernel k, and installs the
+// engine's dispatch on k: every event k fires goes through the engine.
+func NewEngine(k *des.Kernel) *Engine {
+	e := &Engine{K: k}
+	k.SetDispatch(e.fire)
+	return e
+}
+
+// fire dispatches one event ref.
+func (e *Engine) fire(ref int) {
+	id := ref >> refBits
+	switch ref & refMask {
+	case refRequest:
+		e.request(e.journeys[id].j)
+	case refRelease:
+		e.release(e.channels[id])
+	default:
+		e.OnPost(id)
 	}
+}
+
+// Post schedules a caller event at absolute time t: when it fires, the
+// engine calls OnPost(arg). arg may be any int whose shift left by two
+// bits does not overflow.
+func (e *Engine) Post(t float64, arg int) {
+	if e.OnPost == nil {
+		panic("wormhole: Post with no OnPost handler")
+	}
+	e.K.At(t, arg<<refBits|refPost)
 }
 
 // NewJourney returns a zeroed Journey, reusing recurrence buffers from a
@@ -195,7 +269,9 @@ func (e *Engine) Recycle(j *Journey) {
 	if j == nil {
 		return
 	}
-	*j = Journey{floats: j.floats, ints: j.ints}
+	floats, ints := j.floats, j.ints
+	*j = Journey{}
+	j.floats, j.ints = floats, ints
 	e.free = append(e.free, j)
 }
 
@@ -208,20 +284,83 @@ func (e *Engine) NewChannel(name string, flitTime float64) *Channel {
 // NewBufferedChannel creates a channel whose input buffer holds depth
 // flits (depth >= 1).
 func (e *Engine) NewBufferedChannel(name string, flitTime float64, depth int) *Channel {
-	if flitTime <= 0 || math.IsNaN(flitTime) || math.IsInf(flitTime, 0) {
-		panic(fmt.Sprintf("wormhole: invalid flit time %v for %s", flitTime, name))
+	ch := []Channel{{Name: name, FlitTime: flitTime, BufferDepth: depth}}
+	e.AddChannels(ch)
+	return &ch[0]
+}
+
+// AddChannels registers every channel of chs with the engine, which
+// names a channel by its registry index in its release events. Each
+// needs a finite positive FlitTime and a BufferDepth of at least 1. A
+// caller building many channels keeps them in one slice: one allocation
+// for all of them.
+func (e *Engine) AddChannels(chs []Channel) {
+	for i := range chs {
+		c := &chs[i]
+		if c.FlitTime <= 0 || math.IsNaN(c.FlitTime) || math.IsInf(c.FlitTime, 0) {
+			panic(fmt.Sprintf("wormhole: invalid flit time %v for %s", c.FlitTime, c.Name))
+		}
+		if c.BufferDepth < 1 {
+			panic(fmt.Sprintf("wormhole: invalid buffer depth %d for %s", c.BufferDepth, c.Name))
+		}
+		c.id = len(e.channels)
+		e.channels = append(e.channels, c)
 	}
-	if depth < 1 {
-		panic(fmt.Sprintf("wormhole: invalid buffer depth %d for %s", depth, name))
+}
+
+// NewRoute compiles the path chans, whose channels must belong to e:
+// it copies the slice, each channel's flit time and buffer depth
+// (checked, as at least 1) and release ref, and notes whether every
+// buffer after the first holds one flit. The route reads no channel
+// field again, so change a channel's FlitTime or BufferDepth only
+// before compiling a route over it.
+func (e *Engine) NewRoute(chans []*Channel) *Route {
+	if len(chans) == 0 {
+		panic("wormhole: route with no channels")
 	}
-	return &Channel{Name: name, FlitTime: flitTime, BufferDepth: depth}
+	r := &e.routes.take(1)[0]
+	r.Channels = e.paths.take(len(chans))
+	copy(r.Channels, chans)
+	r.hops = e.hops.take(len(chans))
+	r.single = true
+	for k, c := range chans {
+		if c.id >= len(e.channels) || e.channels[c.id] != c {
+			panic(fmt.Sprintf("wormhole: channel %s does not belong to this engine", c.Name))
+		}
+		if c.BufferDepth < 1 {
+			panic(fmt.Sprintf("wormhole: channel %s has buffer depth %d", c.Name, c.BufferDepth))
+		}
+		r.hops[k] = hop{s: c.FlitTime, b: c.BufferDepth, rel: c.id<<refBits | refRelease}
+		if k > 0 && c.BufferDepth != 1 {
+			r.single = false // B_0 never enters the recurrence
+		}
+	}
+	return r
+}
+
+// slab hands out views into chunks that double from 16 entries up to
+// 4096, so a run's routes cost a few allocations in all, and a fresh
+// engine compiling one route a few small ones.
+type slab[T any] struct {
+	free  []T
+	chunk int
+}
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.chunk = min(max(2*s.chunk, 16), 4096)
+		s.free = make([]T, max(n, s.chunk))
+	}
+	v := s.free[:n:n]
+	s.free = s.free[n:]
+	return v
 }
 
 // Start schedules journey j to begin requesting its first channel at
 // absolute time at.
 func (e *Engine) Start(j *Journey, at float64) {
-	if len(j.Channels) == 0 {
-		panic("wormhole: journey with no channels")
+	if j.Route == nil {
+		panic("wormhole: journey with no route")
 	}
 	if j.Flits <= 0 {
 		panic(fmt.Sprintf("wormhole: journey with %d flits", j.Flits))
@@ -229,22 +368,24 @@ func (e *Engine) Start(j *Journey, at float64) {
 	if j.Avail != nil && len(j.Avail) != j.Flits {
 		panic(fmt.Sprintf("wormhole: Avail has %d entries for %d flits", len(j.Avail), j.Flits))
 	}
-	for _, ch := range j.Channels {
-		if ch.BufferDepth < 1 {
-			panic(fmt.Sprintf("wormhole: channel %s has buffer depth %d", ch.Name, ch.BufferDepth))
-		}
-	}
 	j.idx = 0
 	j.acquired = 0
 	j.prepared = false
+	if e.freeID > 0 {
+		j.id = e.freeID - 1
+		e.freeID = e.journeys[j.id].next
+		e.journeys[j.id] = idSlot{j: j}
+	} else {
+		j.id = len(e.journeys)
+		e.journeys = append(e.journeys, idSlot{j: j})
+	}
 	e.Started++
-	e.handlers()
-	e.K.ScheduleCallAt(at, e.requestFn, j)
+	e.K.At(at, j.id<<refBits|refRequest)
 }
 
 // request tries to acquire j's next channel, queueing FIFO if held.
 func (e *Engine) request(j *Journey) {
-	ch := j.Channels[j.idx]
+	ch := j.Route.Channels[j.idx]
 	if ch.busy || ch.waiters.len() > 0 {
 		ch.waiters.push(j)
 		if n := ch.waiters.len(); n > ch.MaxQueue {
@@ -272,11 +413,11 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 	j.Acquire[j.idx] = now
 	j.acquired++
 
-	last := j.acquired == len(j.Channels)
+	last := j.acquired == len(j.Route.Channels)
 	if !last {
 		j.idx++
 		// The head flit reaches the next switch after one flit time.
-		e.K.ScheduleCall(ch.FlitTime, e.requestFn, j)
+		e.K.After(ch.FlitTime, j.id<<refBits|refRequest)
 	}
 	switch {
 	case !j.onePass:
@@ -285,6 +426,9 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 		e.fillOnePass(j)
 	}
 	if last {
+		// No event names the journey any more: give its id back.
+		e.journeys[j.id] = idSlot{next: e.freeID}
+		e.freeID = j.id + 1
 		e.Completed++
 		if j.OnComplete != nil {
 			j.OnComplete(j, j.exits)
@@ -292,30 +436,26 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 	}
 }
 
-// prepare sizes j's slabs for its path and message, reusing a recycled
-// journey's outright, copies each channel's s_k and B_k, and decides
-// whether the schedule takes the one-pass fill.
+// prepare sizes j's slabs for its route and message, reusing a recycled
+// journey's outright, and decides whether the schedule takes the
+// one-pass fill.
 func (j *Journey) prepare() {
-	L, M := len(j.Channels), j.Flits
-	if cap(j.floats) < L*M+M+L {
-		j.floats = make([]float64, L*M+M+L)
+	L, M := len(j.Route.Channels), j.Flits
+	n := L*M + M
+	if cap(j.floats) < n {
+		j.floats = make([]float64, n)
 	}
-	j.floats = j.floats[:L*M+M+L]
+	j.floats = j.floats[:n]
 	j.Acquire = j.floats[:L:L]
-	j.exits = j.floats[L*M : L*M+M : L*M+M]
-	if cap(j.ints) < 3*L {
-		j.ints = make([]int, 3*L)
-	}
-	j.ints = j.ints[:3*L]
-	j.onePass = M >= L
-	for k, c := range j.Channels {
-		j.floats[L*M+M+k] = c.FlitTime
-		j.ints[k] = c.BufferDepth
-		if k > 0 && c.BufferDepth != 1 {
-			j.onePass = false // B_0 never enters the recurrence
+	j.exits = j.floats[L*M : n : n]
+	j.onePass = j.Route.single && M >= L
+	if !j.onePass {
+		if cap(j.ints) < 2*L {
+			j.ints = make([]int, 2*L)
 		}
+		j.ints = j.ints[:2*L]
+		clear(j.ints[:L]) // nothing settled
 	}
-	clear(j.ints[L : 2*L]) // nothing settled
 	j.prepared = true
 }
 
@@ -332,16 +472,17 @@ func (j *Journey) prepare() {
 // deeper than one flit after the first channel, or fewer flits than
 // channels, where cells settle before the last grant.
 func (e *Engine) settle(j *Journey) {
-	L, M, a := len(j.Channels), j.Flits, j.acquired
-	start, s := j.floats[:L*M], j.floats[L*M+M:]
-	depth, settled, u := j.ints[:L], j.ints[L:L+a], j.ints[2*L:2*L+a]
+	hops := j.Route.hops
+	L, M, a := len(hops), j.Flits, j.acquired
+	start := j.floats[:L*M]
+	settled, u := j.ints[:a], j.ints[L:L+a]
 
 	u[a-1] = M
 	if a < L {
-		u[a-1] = min(M, depth[a])
+		u[a-1] = min(M, hops[a].b)
 	}
 	for k := a - 2; k >= 0; k-- {
-		u[k] = min(M, u[k+1]+depth[k+1])
+		u[k] = min(M, u[k+1]+hops[k+1].b)
 	}
 	if u[0] < M {
 		return // no tail crossing is known yet
@@ -361,17 +502,17 @@ func (e *Engine) settle(j *Journey) {
 			// Arrival at this channel's switch.
 			var st float64
 			if k > 0 {
-				st = row[k-1] + s[k-1]
+				st = row[k-1] + hops[k-1].s
 			} else if j.Avail != nil {
 				st = j.Avail[fl]
 			}
 			// Link serialization: d(fl−1, k).
-			if ls := prev[k] + s[k]; ls > st {
+			if ls := prev[k] + hops[k].s; ls > st {
 				st = ls
 			}
 			// Buffer space at the next stage: start(fl−b, k+1).
 			if k < L-1 {
-				if b := depth[k+1]; fl >= b {
+				if b := hops[k+1].b; fl >= b {
 					if bo := start[(fl-b)*L+k+1]; bo > st {
 						st = bo
 					}
@@ -384,13 +525,13 @@ func (e *Engine) settle(j *Journey) {
 	tail := start[(M-1)*L : M*L]
 	for k := range u {
 		if settled[k] < M && u[k] == M {
-			e.K.ScheduleCallAt(tail[k]+s[k], e.releaseFn, j.Channels[k])
+			e.K.At(tail[k]+hops[k].s, hops[k].rel)
 		}
 		settled[k] = u[k]
 	}
 	if a == L {
 		for fl := range j.exits {
-			j.exits[fl] = start[fl*L+L-1] + s[L-1]
+			j.exits[fl] = start[fl*L+L-1] + hops[L-1].s
 		}
 	}
 }
@@ -402,29 +543,37 @@ func (e *Engine) settle(j *Journey) {
 // link term d(fl−1, k) never binds before the last column: the buffer
 // term start(fl−1, k+1) is at least that cell's own arrival term, the
 // same float sum d(fl−1, k), and in row 0 the head requests channel k+1
-// at a_k + s_k and cannot be granted it earlier. max is exact, so
-// dropping a dominated term changes no bit.
+// at a_k + s_k and cannot be granted it earlier. With no Avail the
+// arrival at column 0 is 0, and no time is negative, so on a path of two
+// or more channels column 0 is the buffer term start(fl−1, 1) alone.
+// max is exact, so dropping a dominated term changes no bit.
 func (e *Engine) fillOnePass(j *Journey) {
-	L, M := len(j.Channels), j.Flits
-	start, s := j.floats[:L*M], j.floats[L*M+M:L*M+M+L]
+	hops := j.Route.hops
+	L, M := len(hops), j.Flits
+	start := j.floats[:L*M]
 	exits, avail := j.exits, j.Avail
-	last := s[L-1]
+	last := hops[L-1].s
 	prev := start[:L] // row 0: the acquisition times
 	exits[0] = prev[L-1] + last
 	for fl := 1; fl < M; fl++ {
 		row := start[fl*L : fl*L+L]
 		// in is the arrival: Avail[fl] at column 0, d(fl, k−1) after it.
 		var in float64
+		k := 0
 		if avail != nil {
 			in = avail[fl]
+		} else if L > 1 {
+			row[0] = prev[1]
+			in = prev[1] + hops[0].s
+			k = 1
 		}
-		for k, sk := range s[:L-1] {
+		for ; k < L-1; k++ {
 			st := prev[k+1]
 			if in > st {
 				st = in
 			}
 			row[k] = st
-			in = st + sk
+			in = st + hops[k].s
 		}
 		st := prev[L-1] + last
 		if in > st {
@@ -434,8 +583,8 @@ func (e *Engine) fillOnePass(j *Journey) {
 		exits[fl] = st + last
 		prev = row
 	}
-	for k, ch := range j.Channels {
-		e.K.ScheduleCallAt(prev[k]+s[k], e.releaseFn, ch)
+	for k := range hops {
+		e.K.At(prev[k]+hops[k].s, hops[k].rel)
 	}
 }
 

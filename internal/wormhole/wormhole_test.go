@@ -22,7 +22,7 @@ func runOne(t *testing.T, flitTimes []float64, flits int) ([]float64, []float64)
 	}
 	var exits []float64
 	var acq []float64
-	j := &Journey{Channels: chans, Flits: flits, OnComplete: func(j *Journey, ex []float64) {
+	j := &Journey{Route: e.NewRoute(chans), Flits: flits, OnComplete: func(j *Journey, ex []float64) {
 		exits = append([]float64{}, ex...)
 		acq = append([]float64{}, j.Acquire...)
 	}}
@@ -97,7 +97,7 @@ func TestFIFOContention(t *testing.T) {
 	var done [2]float64
 	for i := 0; i < 2; i++ {
 		i := i
-		j := &Journey{Channels: []*Channel{ch}, Flits: M, OnComplete: func(_ *Journey, ex []float64) {
+		j := &Journey{Route: e.NewRoute([]*Channel{ch}), Flits: M, OnComplete: func(_ *Journey, ex []float64) {
 			done[i] = ex[M-1]
 		}}
 		e.Start(j, 0)
@@ -129,9 +129,9 @@ func TestBlockedHeadHoldsUpstreamChannels(t *testing.T) {
 	const M = 4
 
 	var aDone, bDone, cDone float64
-	a := &Journey{Channels: []*Channel{z}, Flits: M, OnComplete: func(_ *Journey, ex []float64) { aDone = ex[M-1] }}
-	b := &Journey{Channels: []*Channel{y, z}, Flits: M, OnComplete: func(_ *Journey, ex []float64) { bDone = ex[M-1] }}
-	c := &Journey{Channels: []*Channel{y}, Flits: M, OnComplete: func(_ *Journey, ex []float64) { cDone = ex[M-1] }}
+	a := &Journey{Route: e.NewRoute([]*Channel{z}), Flits: M, OnComplete: func(_ *Journey, ex []float64) { aDone = ex[M-1] }}
+	b := &Journey{Route: e.NewRoute([]*Channel{y, z}), Flits: M, OnComplete: func(_ *Journey, ex []float64) { bDone = ex[M-1] }}
+	c := &Journey{Route: e.NewRoute([]*Channel{y}), Flits: M, OnComplete: func(_ *Journey, ex []float64) { cDone = ex[M-1] }}
 	e.Start(a, 0)
 	e.Start(b, 0)
 	e.Start(c, 0.5)
@@ -163,7 +163,7 @@ func TestAvailThrottlesInjection(t *testing.T) {
 	const M = 5
 	avail := []float64{0, 2, 4, 6, 8}
 	var exits []float64
-	j := &Journey{Channels: []*Channel{ch}, Flits: M, Avail: avail,
+	j := &Journey{Route: e.NewRoute([]*Channel{ch}), Flits: M, Avail: avail,
 		OnComplete: func(_ *Journey, ex []float64) { exits = append([]float64{}, ex...) }}
 	e.Start(j, 0)
 	k.Run(nil)
@@ -185,8 +185,8 @@ func TestChainedJourneysThroughBuffer(t *testing.T) {
 	fast := e.NewChannel("fast", 0.1)
 	const M = 8
 	var final []float64
-	j1 := &Journey{Channels: []*Channel{slow}, Flits: M, OnComplete: func(_ *Journey, ex []float64) {
-		j2 := &Journey{Channels: []*Channel{fast}, Flits: M, Avail: ex,
+	j1 := &Journey{Route: e.NewRoute([]*Channel{slow}), Flits: M, OnComplete: func(_ *Journey, ex []float64) {
+		j2 := &Journey{Route: e.NewRoute([]*Channel{fast}), Flits: M, Avail: ex,
 			OnComplete: func(_ *Journey, ex2 []float64) { final = append([]float64{}, ex2...) }}
 		e.Start(j2, ex[0])
 	}}
@@ -212,7 +212,7 @@ func TestReleaseTimesAreTailCrossings(t *testing.T) {
 	e := NewEngine(&k)
 	c0 := e.NewChannel("c0", 0.5)
 	c1 := e.NewChannel("c1", 0.5)
-	j := &Journey{Channels: []*Channel{c0, c1}, Flits: 4}
+	j := &Journey{Route: e.NewRoute([]*Channel{c0, c1}), Flits: 4}
 	e.Start(j, 0)
 	k.Run(nil)
 	// Tail crosses c0 at d(3,0): start(3,0)=start(2,1)=…
@@ -249,7 +249,7 @@ func TestConservationUnderRandomContention(t *testing.T) {
 			for i := lo; i <= hi; i++ {
 				chans = append(chans, pool[i])
 			}
-			j := &Journey{Channels: chans, Flits: 1 + m%7, OnComplete: func(j *Journey, ex []float64) {
+			j := &Journey{Route: e.NewRoute(chans), Flits: 1 + m%7, OnComplete: func(j *Journey, ex []float64) {
 				completed++
 				for i := 1; i < len(ex); i++ {
 					if ex[i] <= ex[i-1] {
@@ -277,7 +277,7 @@ func TestChannelUtilizationBounds(t *testing.T) {
 	e := NewEngine(&k)
 	ch := e.NewChannel("c", 1.0)
 	for i := 0; i < 10; i++ {
-		e.Start(&Journey{Channels: []*Channel{ch}, Flits: 2}, 0)
+		e.Start(&Journey{Route: e.NewRoute([]*Channel{ch}), Flits: 2}, 0)
 	}
 	k.Run(nil)
 	u := ch.Utilization(k.Now())
@@ -291,9 +291,9 @@ func TestStartValidation(t *testing.T) {
 	e := NewEngine(&k)
 	ch := e.NewChannel("c", 1)
 	cases := []*Journey{
-		{Channels: nil, Flits: 1},
-		{Channels: []*Channel{ch}, Flits: 0},
-		{Channels: []*Channel{ch}, Flits: 2, Avail: []float64{0}},
+		{Flits: 1},
+		{Route: e.NewRoute([]*Channel{ch}), Flits: 0},
+		{Route: e.NewRoute([]*Channel{ch}), Flits: 2, Avail: []float64{0}},
 	}
 	for i, j := range cases {
 		func() {
@@ -307,6 +307,34 @@ func TestStartValidation(t *testing.T) {
 	}
 	if _, err := func() (x int, err error) { return 0, nil }(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewRouteValidation: a route needs at least one channel, every
+// channel registered with the compiling engine, and every buffer depth
+// at least 1 when it compiles.
+func TestNewRouteValidation(t *testing.T) {
+	var k, other des.Kernel
+	e := NewEngine(&k)
+	ch := e.NewChannel("c", 1)
+	foreign := NewEngine(&other).NewChannel("foreign", 1)
+	shallow := e.NewChannel("shallow", 1)
+	shallow.BufferDepth = 0
+	cases := [][]*Channel{
+		nil,
+		{ch, foreign},
+		{&Channel{Name: "unregistered", FlitTime: 1, BufferDepth: 1}},
+		{ch, shallow},
+	}
+	for i, chans := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d did not panic", i)
+				}
+			}()
+			e.NewRoute(chans)
+		}()
 	}
 }
 
@@ -356,5 +384,53 @@ func TestFIFOQueueInternals(t *testing.T) {
 	}
 	if f.len() != 0 {
 		t.Fatalf("fifo length %d after draining, want 0", f.len())
+	}
+}
+
+// TestRegistryHoldsOnlyJourneysInFlight drives journeys the way a traced
+// simulator run does — never recycled, each completion starting the
+// message's next segment — and requires the engine's journey registry
+// to grow no larger than the peak number of journeys in flight and to
+// reference no journey once the run drains.
+func TestRegistryHoldsOnlyJourneysInFlight(t *testing.T) {
+	var k des.Kernel
+	e := NewEngine(&k)
+	pool := make([]*Channel, 6)
+	for i := range pool {
+		pool[i] = e.NewChannel("p", 0.1+float64(i)*0.07)
+	}
+	routes := make([]*Route, 0, 15)
+	for lo := range pool {
+		for hi := lo + 1; hi < len(pool); hi++ {
+			routes = append(routes, e.NewRoute(pool[lo:hi+1]))
+		}
+	}
+	peak := 0
+	var start func(n, segs int, at float64)
+	start = func(n, segs int, at float64) {
+		j := &Journey{Route: routes[n%len(routes)], Flits: 4 + n%13, OnComplete: func(j *Journey, ex []float64) {
+			if segs > 1 {
+				start(n*7+3, segs-1, ex[len(ex)-1])
+			}
+		}}
+		e.Start(j, at)
+		peak = max(peak, int(e.Started-e.Completed))
+	}
+	want := 0
+	for m := 0; m < 200; m++ {
+		start(m, 1+m%3, float64(m)*0.3)
+		want += 1 + m%3
+	}
+	k.Run(nil)
+	if e.Started != e.Completed || e.Started != uint64(want) {
+		t.Fatalf("started %d, completed %d, want %d each", e.Started, e.Completed, want)
+	}
+	if len(e.journeys) > peak || peak >= want {
+		t.Fatalf("registry has %d entries for a peak of %d journeys in flight (of %d)", len(e.journeys), peak, want)
+	}
+	for id, s := range e.journeys {
+		if s.j != nil {
+			t.Fatalf("registry entry %d still references a completed journey", id)
+		}
 	}
 }
