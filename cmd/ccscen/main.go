@@ -675,13 +675,13 @@ func validateCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	bad := 0
 	for _, p := range paths {
-		name, err := validateFile(p)
+		doc, err := loadSpecFile(p)
 		if err != nil {
 			fmt.Fprintf(stderr, "ccscen: %s: %v\n", p, err)
 			bad++
 			continue
 		}
-		fmt.Fprintf(stdout, "ok: %s\n", name)
+		fmt.Fprintf(stdout, "ok: %s\n", doc.name)
 	}
 	if bad > 0 {
 		return 1
@@ -724,13 +724,18 @@ func collectSpecFiles(args []string) ([]string, error) {
 	return paths, nil
 }
 
-// validateFile loads one document through the loader its kind selects,
+// specDoc is what validate and list report of one document.
+type specDoc struct {
+	kind, name, title, description string
+}
+
+// loadSpecFile loads one document through the loader its kind selects,
 // dry-building systems where the schema alone cannot see structural
-// constraints (C = 2(m/2)^n). It returns the document's name.
-func validateFile(path string) (string, error) {
+// constraints (C = 2(m/2)^n).
+func loadSpecFile(path string) (specDoc, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return "", err
+		return specDoc{}, err
 	}
 	// Sniff only the kind; malformed JSON falls through to the kind's
 	// own loader, whose decode errors carry field paths.
@@ -741,44 +746,54 @@ func validateFile(path string) (string, error) {
 	if sniff.Kind == "optimize" {
 		spec, err := optimize.Parse(bytes.NewReader(b), filepath.Base(path))
 		if err != nil {
-			return "", err
+			return specDoc{}, err
 		}
-		return spec.Name, nil
+		return specDoc{"optimize", spec.Name, spec.Title, spec.Description}, nil
 	}
 	spec, err := scenario.Parse(bytes.NewReader(b), filepath.Base(path))
 	if err != nil {
-		return "", err
+		return specDoc{}, err
 	}
 	if _, err := spec.BuildSystem(); err != nil {
-		return "", fmt.Errorf("scenario %s: %w", spec.Name, err)
+		return specDoc{}, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-	return spec.Name, nil
+	kind := spec.Kind
+	if kind == "" {
+		kind = "scenario"
+	}
+	return specDoc{kind, spec.Name, spec.Title, spec.Description}, nil
 }
 
+// listCmd prints one line per document under a directory, walked and
+// loaded exactly as validate does: its path relative to the directory,
+// its kind, its name and its description (the title when it has none).
+// Broken files are listed with their load error, so list doubles as a
+// directory health check.
 func listCmd(args []string, stdout, stderr io.Writer) int {
 	dir := "examples/scenarios"
 	if len(args) > 0 {
 		dir = args[0]
 	}
-	sums, err := scenario.ListDir(dir)
+	paths, err := collectSpecFiles([]string{dir})
 	if err != nil {
 		fmt.Fprintln(stderr, "ccscen:", err)
 		return 1
 	}
-	if len(sums) == 0 {
-		fmt.Fprintf(stderr, "ccscen: no *.json scenarios in %s\n", dir)
-		return 1
-	}
-	for _, s := range sums {
-		if s.Err != nil {
-			fmt.Fprintf(stdout, "%-28s INVALID: %v\n", filepath.Base(s.Path), s.Err)
+	for _, p := range paths {
+		rel, err := filepath.Rel(dir, p)
+		if err != nil || rel == "." {
+			rel = filepath.Base(p)
+		}
+		doc, err := loadSpecFile(p)
+		if err != nil {
+			fmt.Fprintf(stdout, "%-40s INVALID: %v\n", rel, err)
 			continue
 		}
-		desc := s.Description
+		desc := doc.description
 		if desc == "" {
-			desc = s.Title
+			desc = doc.title
 		}
-		fmt.Fprintf(stdout, "%-28s %-24s %s\n", filepath.Base(s.Path), s.Name, desc)
+		fmt.Fprintf(stdout, "%-40s %-8s %-28s %s\n", rel, doc.kind, doc.name, desc)
 	}
 	return 0
 }

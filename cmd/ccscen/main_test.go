@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,6 +48,53 @@ func TestRun(t *testing.T) {
 		{Name: "validateOptimizeKind", Args: []string{"validate", "../../examples/scenarios/optimize/icn2-upgrade-pareto.json"},
 			WantCode: 0, WantStdout: "ok: icn2-upgrade-pareto"},
 	})
+}
+
+// TestListDirReportsBrokenFiles: list walks a directory the way
+// validate does, prints each document's relative path, kind, name and
+// description, and reports a broken file inline without hiding the rest.
+func TestListDirReportsBrokenFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"good.json": `{"name": "t", "description": "a good one", "system": {"preset": "small"},
+			"traffic": {"flits": 8, "flitBytes": [64], "lambda": {"min": 1e-4, "max": 1e-3, "points": 4}}}`,
+		"broken.json":   `{"name":`,
+		"opt/spec.json": strings.Replace(optimizeSpec, "{", `{"kind": "optimize",`, 1),
+	}
+	for name, body := range files {
+		p := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := clitest.Run(run, "list", dir)
+	if got.Code != 0 {
+		t.Fatalf("exit %d: %s", got.Code, got.Stderr)
+	}
+	lines := strings.Split(strings.TrimSpace(got.Stdout), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("%d lines, want 3:\n%s", len(lines), got.Stdout)
+	}
+	for i, want := range [][]string{
+		{"broken.json", "INVALID:"},
+		{"good.json", "scenario", "t", "a good one"},
+		{filepath.Join("opt", "spec.json"), "optimize", "cli-opt"},
+	} {
+		if f := strings.Fields(lines[i]); len(f) < len(want) || !slices.Equal(f[:len(want)-1], want[:len(want)-1]) ||
+			!strings.Contains(lines[i], want[len(want)-1]) {
+			t.Errorf("line %d = %q, want fields %q", i, lines[i], want)
+		}
+	}
+
+	// Every shipped document lists, none of them broken.
+	got = clitest.Run(run, "list", "../../examples/scenarios")
+	lines = strings.Split(strings.TrimSpace(got.Stdout), "\n")
+	if got.Code != 0 || len(lines) != 29 || strings.Contains(got.Stdout, "INVALID") {
+		t.Fatalf("exit %d, %d lines, want 29 valid documents:\n%s", got.Code, len(lines), got.Stdout)
+	}
 }
 
 // optimizeSpec is a fast 96-candidate grid with a cost model.

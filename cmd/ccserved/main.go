@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheEntries = fs.Int("cache-entries", 1024, "result cache capacity in entries")
 		cacheBytes   = fs.Int64("cache-bytes", 64<<20, "result cache capacity in bytes")
 		ttl          = fs.Duration("ttl", 15*time.Minute, "result cache entry lifetime (negative disables expiry)")
-		workers      = fs.Int("workers", 0, "sweep/campaign worker goroutines (default GOMAXPROCS)")
+		workers      = fs.Int("workers", 0, "goroutines bounding each request's fan-out: sweep, campaign, performability, fleetsim, optimize and batch items (default GOMAXPROCS)")
 		shardID      = fs.String("shard-id", "", "shard identity reported in X-Shard and /v1/version (set when running behind ccrouter)")
 		showVersion  = fs.Bool("version", false, "print version and exit")
 	)

@@ -1,209 +1,129 @@
-// Package batch is the streaming bulk-evaluation engine: a batch of
-// heterogeneous work items (evaluate, sweep and campaign specs, mixed
-// freely) is sharded across a bounded worker pool and the results are
-// emitted incrementally, one per completed item, in the batch's own item
-// order — so a client reading the stream sees result i as soon as items
-// 0…i have finished, while later items are still computing.
-//
-// The engine is deliberately generic: it knows nothing about the model
-// or the HTTP service. The executor callback (internal/service supplies
-// one that consults the canonical-spec result cache per item) maps an
-// Item to an Outcome; the engine owns scheduling, ordering, cancellation
-// and the terminal summary. cmd/ccserved exposes it as POST /v1/batch,
-// cmd/ccscen as `ccscen batch`.
+// Package batch is the repository's one parallel loop: an indexed
+// fan-out over a bounded number of goroutines, with optional delivery
+// of the finished indices in index order on the caller's goroutine.
+// Every parallel site calls it — λ sweeps, campaign simulation jobs,
+// performability and fleet states, optimizer candidates and annealing
+// chains, and /v1/batch items — so how work is spread over the CPUs is
+// decided in this one place.
 package batch
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// MaxItems bounds one batch; a request this size streams for a while but
-// cannot exhaust the server (each item is itself bounded by the service
-// layer's body limits).
-const MaxItems = 10000
-
-// Item is one unit of work: a kind discriminator and the kind's own
-// request document, carried opaquely.
-type Item struct {
-	// ID is an optional client-chosen label echoed in the item's result
-	// line; items are always also identified by index.
-	ID string `json:"id,omitempty"`
-	// Kind selects the executor: "evaluate", "sweep", "campaign",
-	// "performability" or "fleetsim".
-	Kind string `json:"kind"`
-	// Spec is the kind's request body, verbatim: an evaluate/sweep
-	// request object or a full scenario spec.
-	Spec json.RawMessage `json:"spec"`
-}
-
-// Outcome is one executed item.
-type Outcome struct {
-	Index   int
-	ID      string
-	Kind    string
-	Payload json.RawMessage // result document; nil when Err is set
-	Key     string          // canonical cache key, when the executor has one
-	Cached  bool            // answered from cache or coalesced
-	Err     error
-	Elapsed time.Duration
-	// QueueWait is how long the item sat in the batch before a worker
-	// picked it up (time from Run start to Exec start).
-	QueueWait time.Duration
-}
-
-// Exec computes one item. It must be safe for concurrent calls and
-// should honor ctx promptly for long computations.
-type Exec func(ctx context.Context, index int, it Item) Outcome
-
-// Summary is the terminal accounting of one batch run. CacheHits and
-// CacheMisses partition the successful items (failed items consult no
-// cache), so a client can verify spec-dedup across the batch itself —
-// the per-process /v1/stats counters cannot distinguish one batch's
-// hits from another's.
-type Summary struct {
-	Items       int `json:"items"`
-	Emitted     int `json:"emitted"`
-	Succeeded   int `json:"succeeded"`
-	Failed      int `json:"failed"`
-	CacheHits   int `json:"cacheHits"`
-	CacheMisses int `json:"cacheMisses"`
-	// HitRate is CacheHits/(CacheHits+CacheMisses); 0 when no item
-	// succeeded.
-	HitRate  float64 `json:"cacheHitRate"`
-	Canceled bool    `json:"canceled"`
-	WallSecs float64 `json:"wallSeconds"`
-}
-
-// Engine runs batches. The zero value is not usable; set Exec.
-type Engine struct {
-	// Workers bounds concurrent Exec calls; <= 0 means GOMAXPROCS.
-	Workers int
-	// Exec computes one item (required).
-	Exec Exec
-}
-
-// Run shards items across the worker pool and emits every outcome in
-// item order as soon as it — and all earlier items — have completed.
-// Emission order is deterministic (always index 0, 1, 2, …) regardless
-// of worker count or scheduling.
-//
-// When ctx is canceled, or emit returns an error (a streaming client
-// hung up), workers stop picking up new items, in-flight items finish,
-// and Run returns the cause with a summary of what was emitted. A
-// canceled run emits no further outcomes after the cause.
-func (e *Engine) Run(ctx context.Context, items []Item, emit func(Outcome) error) (Summary, error) {
-	start := time.Now()
-	sum := Summary{Items: len(items)}
-	if e.Exec == nil {
-		return sum, fmt.Errorf("batch: Engine.Exec is nil")
-	}
-	if len(items) == 0 {
-		sum.WallSecs = time.Since(start).Seconds()
-		return sum, nil
-	}
-	if len(items) > MaxItems {
-		return sum, fmt.Errorf("batch: %d items exceed the %d-item limit", len(items), MaxItems)
-	}
-
-	// A derived context lets an emit failure stop the pool the same way
-	// caller cancellation does.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := e.Workers
+// Workers returns how many goroutines Run starts for n indices:
+// workers, or GOMAXPROCS when workers <= 0, clamped to n. Callers size
+// per-goroutine scratch with it.
+func Workers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(items) {
-		workers = len(items)
-	}
+	return min(workers, n)
+}
 
-	outcomes := make([]Outcome, len(items))
-	done := make([]chan struct{}, len(items))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
+// Run calls work(w, i) for every i in [0, n) on at most
+// Workers(workers, n) goroutines. w in [0, Workers(workers, n)) names
+// the goroutine: two calls with the same w never overlap, so w can
+// index per-goroutine scratch.
+//
+// When done is non-nil, Run calls it on the caller's goroutine for
+// i = 0, 1, 2, …, each as soon as work has returned for every index up
+// to i, so results stored by work can be absorbed in index order while
+// later indices are still running.
+//
+// When ctx is done or done returns an error, Run stops handing out
+// indices and calling done and waits for the work calls still running.
+// It returns done's error, else ctx's cause once ctx is done, else nil.
+// With a single goroutine everything runs on the caller's goroutine.
+func Run(ctx context.Context, n, workers int, work func(w, i int), done func(i int) error) error {
+	nw := Workers(workers, n)
+	if nw <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			work(0, i)
+			if done != nil && ctx.Err() == nil {
+				if err := done(i); err != nil {
+					return err
 				}
-				if ctx.Err() != nil {
-					// Canceled: mark the remaining items done without
-					// executing so the emitter can drain and report.
-					outcomes[i] = Outcome{Index: i, ID: items[i].ID, Kind: items[i].Kind, Err: ctx.Err()}
-					close(done[i])
-					continue
-				}
-				t0 := time.Now()
-				o := e.Exec(ctx, i, items[i])
-				o.Index = i
-				o.QueueWait = t0.Sub(start)
-				if o.ID == "" {
-					o.ID = items[i].ID
-				}
-				if o.Kind == "" {
-					o.Kind = items[i].Kind
-				}
-				o.Elapsed = time.Since(t0)
-				outcomes[i] = o
-				close(done[i])
 			}
-		}()
+		}
+		return context.Cause(ctx)
 	}
-	defer wg.Wait()
 
-	var emitErr error
-	for i := range items {
+	l := &loop{ctx: ctx, n: n, work: work}
+	if done != nil {
+		l.finished = make(chan int, n)
+	}
+	l.wg.Add(nw)
+	for w := range nw {
+		go l.run(w)
+	}
+	err := l.deliver(done)
+	if err != nil {
+		l.stop.Store(true)
+	}
+	l.wg.Wait()
+	if err != nil {
+		return err
+	}
+	return context.Cause(ctx)
+}
+
+// loop is one parallel Run's shared state, held in a single allocation.
+type loop struct {
+	ctx  context.Context
+	n    int
+	work func(w, i int)
+	next atomic.Int64 // next index to hand out
+	stop atomic.Bool  // done failed
+	wg   sync.WaitGroup
+	// finished receives each index once its work has returned; nil when
+	// nothing is delivered. Its buffer holds all n, so no send blocks.
+	finished chan int
+}
+
+// run is goroutine w: it takes indices until they run out, ctx is done
+// or delivery has failed.
+func (l *loop) run(w int) {
+	defer l.wg.Done()
+	for !l.stop.Load() && l.ctx.Err() == nil {
+		i := int(l.next.Add(1)) - 1
+		if i >= l.n {
+			return
+		}
+		l.work(w, i)
+		if l.finished != nil {
+			l.finished <- i
+		}
+	}
+}
+
+// deliver calls done in index order as finished indices arrive, marking
+// them in a bitmap until the next index in order is ready. It returns
+// done's first error, or nil once every index is delivered or ctx is
+// done.
+func (l *loop) deliver(done func(i int) error) error {
+	if done == nil {
+		return nil
+	}
+	ready := make([]uint64, (l.n+63)/64)
+	for next := 0; next < l.n; {
 		select {
-		case <-done[i]:
-		case <-ctx.Done():
-			sum.Canceled = true
-			sum.WallSecs = time.Since(start).Seconds()
-			return sum, context.Cause(ctx)
+		case i := <-l.finished:
+			ready[i/64] |= 1 << (i % 64)
+		case <-l.ctx.Done():
+			return nil
 		}
-		o := outcomes[i]
-		if o.Err != nil && ctx.Err() != nil {
-			// The pool was already winding down; stop emitting rather
-			// than stream one ctx error per remaining item.
-			sum.Canceled = true
-			sum.WallSecs = time.Since(start).Seconds()
-			return sum, context.Cause(ctx)
-		}
-		if emitErr = emit(o); emitErr != nil {
-			cancel()
-			sum.Canceled = true
-			sum.WallSecs = time.Since(start).Seconds()
-			return sum, fmt.Errorf("batch: emit item %d: %w", i, emitErr)
-		}
-		sum.Emitted++
-		if o.Err != nil {
-			sum.Failed++
-		} else {
-			sum.Succeeded++
-			if o.Cached {
-				sum.CacheHits++
-			} else {
-				sum.CacheMisses++
+		for ; next < l.n && ready[next/64]&(1<<(next%64)) != 0; next++ {
+			if l.ctx.Err() != nil {
+				return nil
+			}
+			if err := done(next); err != nil {
+				return err
 			}
 		}
 	}
-	if answered := sum.CacheHits + sum.CacheMisses; answered > 0 {
-		sum.HitRate = float64(sum.CacheHits) / float64(answered)
-	}
-	sum.WallSecs = time.Since(start).Seconds()
-	return sum, nil
+	return nil
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"github.com/ccnet/ccnet/internal/batch"
 )
 
 // Sweep evaluates the model at each traffic rate and returns the results
@@ -17,38 +17,18 @@ func (m *Model) Sweep(lambdas []float64) []*Result {
 	return out
 }
 
-// SweepParallel evaluates the model at each traffic rate across a pool of
-// workers goroutines and returns the results in grid order, identical to
-// Sweep (Evaluate only reads the Model, so concurrent evaluations are
-// safe). workers <= 0 uses GOMAXPROCS; a single worker, or a grid of one
-// point, falls back to the serial Sweep.
+// SweepParallel evaluates the model at each traffic rate on the
+// repository's one parallel loop and returns the results in grid order,
+// identical to Sweep (Evaluate only reads the Model, so concurrent
+// evaluations are safe). workers <= 0 uses GOMAXPROCS; a single worker,
+// or a grid of one point, runs serially on the caller's goroutine.
 func (m *Model) SweepParallel(lambdas []float64, workers int) []*Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(lambdas) {
-		workers = len(lambdas)
-	}
-	if workers <= 1 {
-		return m.Sweep(lambdas)
-	}
 	out := make([]*Result, len(lambdas))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(lambdas) {
-					return
-				}
-				out[i] = m.Evaluate(lambdas[i])
-			}
-		}()
-	}
-	wg.Wait()
+	// Run fails only through its context or done, and neither can end
+	// here.
+	_ = batch.Run(context.TODO(), len(lambdas), workers, func(_, i int) {
+		out[i] = m.Evaluate(lambdas[i])
+	}, nil)
 	return out
 }
 

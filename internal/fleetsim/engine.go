@@ -149,7 +149,7 @@ func (e *Engine) Run(ctx context.Context, st *Study) (*Report, error) {
 		Epochs:       make([]EpochMetrics, len(tr.epochs)),
 	}
 
-	// Phase 2: evaluate each unique state once over the batch pool.
+	// Phase 2: evaluate each unique state once on the parallel loop.
 	// Ordered absorption lets epochs stream as soon as every state they
 	// occupy (all ids <= their max) has absorbed — deterministically.
 	metrics := make([]perfab.StateMetrics, len(tr.uniques))
@@ -164,27 +164,15 @@ func (e *Engine) Run(ctx context.Context, st *Study) (*Report, error) {
 			emitted++
 		}
 	}
-	for lo := 0; lo < len(tr.uniques); lo += batch.MaxItems {
-		hi := lo + batch.MaxItems
-		if hi > len(tr.uniques) {
-			hi = len(tr.uniques)
-		}
-		chunk := tr.uniques[lo:hi]
-		eng := &batch.Engine{
-			Workers: e.Workers,
-			Exec: func(_ context.Context, i int, _ batch.Item) batch.Outcome {
-				u := &chunk[i]
-				metrics[lo+i] = eval.EvalState(u.failed, u.lambda)
-				return batch.Outcome{}
-			},
-		}
-		if _, err := eng.Run(ctx, make([]batch.Item, len(chunk)), func(batch.Outcome) error {
-			absorbed++
-			emit()
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	if err := batch.Run(ctx, len(tr.uniques), e.Workers, func(_, i int) {
+		u := &tr.uniques[i]
+		metrics[i] = eval.EvalState(u.failed, u.lambda)
+	}, func(int) error {
+		absorbed++
+		emit()
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	rep.LongRun = longRun(tr, metrics, st.Block.Horizon)

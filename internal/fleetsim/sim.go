@@ -95,8 +95,8 @@ func (r *recorder) add(state int, from, to float64) {
 }
 
 // trajectory is the generated time line before evaluation: the unique
-// states in first-occurrence order (the batch pool evaluates them in
-// exactly this order), per-epoch occupancy, per-state total sojourn
+// states in first-occurrence order (the engine absorbs them in exactly
+// this order), per-epoch occupancy, per-state total sojourn
 // time, and the applied scripted events.
 type trajectory struct {
 	uniques     []uniqueState

@@ -14,9 +14,10 @@
 // (Gillespie next-event simulation with finite repair crews); each
 // distinct (failed vector, traffic rate) the trajectory visits is
 // rebuilt and evaluated once through the same core.NewDegraded +
-// topology.SurvivorDistanceDistribution path perfab uses, sharded over
-// the internal/batch worker pool with ordered absorption — so identical
-// spec+seed produce byte-identical trajectories at any worker count.
+// topology.SurvivorDistanceDistribution path perfab uses, spread over
+// the internal/batch parallel loop with ordered absorption — so
+// identical spec+seed produce byte-identical trajectories at any worker
+// count.
 //
 // The scenario format carries the block ("fleetsim" kind), cmd/ccscen
 // exposes the engine as `ccscen fleet`, the HTTP service as POST

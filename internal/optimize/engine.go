@@ -3,10 +3,7 @@ package optimize
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/ccnet/ccnet/internal/batch"
 	"github.com/ccnet/ccnet/internal/rng"
@@ -172,19 +169,12 @@ type searchState struct {
 
 	sinceProgress int
 
-	// scratchPool recycles evalScratch values across evaluation waves;
-	// results are scratch-independent, so pooling cannot perturb the
-	// deterministic trajectory.
-	scratchPool sync.Pool
+	// scratches holds one evaluation scratch per parallel-loop goroutine,
+	// reused across waves; results are scratch-independent, so which
+	// goroutine serves an id cannot perturb the deterministic trajectory.
+	scratches []*evalScratch
 	// evalChunk wave buffer, reused across waves.
 	results []candResult
-}
-
-func (st *searchState) getScratch() *evalScratch {
-	if sc, ok := st.scratchPool.Get().(*evalScratch); ok {
-		return sc
-	}
-	return st.space.newScratch()
 }
 
 // absorb folds one evaluated candidate into the state. Duplicates —
@@ -260,10 +250,10 @@ func (st *searchState) emitProgress() {
 	st.engine.Progress(p)
 }
 
-// evalChunk shards ids across a worker pool and absorbs the results in
-// id-list order, so aggregation is deterministic at any worker count.
-// The pool is a bare atomic-counter shard (no per-item channel), and the
-// chunk's result buffer is reused across waves.
+// evalChunk spreads ids over the parallel loop and absorbs the results
+// in id-list order, so aggregation is deterministic at any worker
+// count. The chunk's result buffer and the per-goroutine scratches are
+// reused across waves.
 func (st *searchState) evalChunk(ctx context.Context, ids []uint64) error {
 	if len(ids) == 0 {
 		return nil
@@ -272,44 +262,12 @@ func (st *searchState) evalChunk(ctx context.Context, ids []uint64) error {
 		st.results = make([]candResult, len(ids))
 	}
 	results := st.results[:len(ids)]
-
-	workers := st.engine.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	for len(st.scratches) < batch.Workers(st.engine.Workers, len(ids)) {
+		st.scratches = append(st.scratches, st.space.newScratch())
 	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
-		sc := st.getScratch()
-		for i, id := range ids {
-			if ctx.Err() != nil {
-				break
-			}
-			results[i] = st.space.evaluate(id, sc)
-		}
-		st.scratchPool.Put(sc)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				sc := st.getScratch()
-				defer st.scratchPool.Put(sc)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ids) || ctx.Err() != nil {
-						return
-					}
-					results[i] = st.space.evaluate(ids[i], sc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := context.Cause(ctx); err != nil {
+	if err := batch.Run(ctx, len(ids), st.engine.Workers, func(w, i int) {
+		results[i] = st.space.evaluate(ids[i], st.scratches[w])
+	}, nil); err != nil {
 		return err
 	}
 	for i := range results {
@@ -474,8 +432,8 @@ const (
 )
 
 // runAnneal runs spec.Search.Chains independent simulated-annealing
-// chains, each a deterministic function of (seed, chain index), sharded
-// across the worker pool as batch items and merged in chain order.
+// chains, each a deterministic function of (seed, chain index), spread
+// over the parallel loop and merged in chain order.
 func (st *searchState) runAnneal(ctx context.Context) error {
 	opts := &st.space.spec.Search
 	chains := opts.chains()
@@ -486,21 +444,15 @@ func (st *searchState) runAnneal(ctx context.Context) error {
 	base := rng.New(st.space.spec.seed(), annealSalt)
 
 	outs := make([][]candResult, chains)
-	eng := &batch.Engine{
-		Workers: st.engine.Workers,
-		Exec: func(_ context.Context, i int, _ batch.Item) batch.Outcome {
-			outs[i] = st.space.annealChain(base.Derive(uint64(i)), steps)
-			return batch.Outcome{}
-		},
-	}
-	_, err := eng.Run(ctx, make([]batch.Item, chains), func(o batch.Outcome) error {
-		for j := range outs[o.Index] {
-			st.absorb(&outs[o.Index][j])
+	return batch.Run(ctx, chains, st.engine.Workers, func(_, i int) {
+		outs[i] = st.space.annealChain(base.Derive(uint64(i)), steps)
+	}, func(i int) error {
+		for j := range outs[i] {
+			st.absorb(&outs[i][j])
 		}
-		outs[o.Index] = nil
+		outs[i] = nil
 		return nil
 	})
-	return err
 }
 
 // annealChain walks one Metropolis chain of the given length and

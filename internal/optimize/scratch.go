@@ -14,8 +14,9 @@ import (
 // cache and lends each model build its pair-cell slab (so a candidate's
 // model is dropped before the scratch's next evaluation). A scratch must
 // not be used concurrently; results are bit-identical whichever scratch
-// (and cache state) serves an id, so pooling scratches across workers
-// preserves the spec+seed → byte-identical report invariant.
+// (and cache state) serves an id, so handing each parallel-loop
+// goroutine its own scratch preserves the spec+seed → byte-identical
+// report invariant.
 type evalScratch struct {
 	digits   []int
 	groups   []candGroup // geometry group buffer

@@ -9,8 +9,8 @@
 // Small spaces are enumerated exhaustively; large ones are explored by
 // deterministic beam search or simulated annealing (seeded via
 // internal/rng, so identical spec+seed reproduce the frontier
-// bit-identically at any worker count). Candidate evaluation is sharded
-// across the internal/batch worker pool, and best-so-far progress is
+// bit-identically at any worker count). Candidate evaluation is spread
+// over the internal/batch parallel loop, and best-so-far progress is
 // reported incrementally. cmd/ccscen exposes the engine as `ccscen
 // optimize`, cmd/ccserved as POST /v1/optimize.
 package optimize

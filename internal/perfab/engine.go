@@ -14,12 +14,6 @@ const (
 	MethodSample = "sample"
 )
 
-// chunkSize bounds one sharded evaluation wave at the batch engine's
-// per-run item cap — states are fully materialized up front and absorb
-// drives the progress cadence, so the only reason to split runs at all
-// is that cap.
-const chunkSize = batch.MaxItems
-
 // topStates bounds the per-state detail listed in the report.
 const topStates = 8
 
@@ -149,27 +143,14 @@ func (e *Engine) Run(ctx context.Context, st *Study) (*Report, error) {
 
 	agg := &aggregator{engine: e, method: method, spaceSize: size, states: len(states)}
 	results := make([]StateMetrics, len(states))
-	for lo := 0; lo < len(states); lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > len(states) {
-			hi = len(states)
-		}
-		chunk := states[lo:hi]
-		eng := &batch.Engine{
-			Workers: e.Workers,
-			Exec: func(_ context.Context, i int, _ batch.Item) batch.Outcome {
-				m := ev.evalState(chunk[i].failed, ev.probe)
-				m.Weight = chunk[i].weight
-				results[lo+i] = m
-				return batch.Outcome{}
-			},
-		}
-		if _, err := eng.Run(ctx, make([]batch.Item, len(chunk)), func(o batch.Outcome) error {
-			agg.absorb(&results[lo+o.Index])
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	if err := batch.Run(ctx, len(states), e.Workers, func(_, i int) {
+		results[i] = ev.evalState(states[i].failed, ev.probe)
+		results[i].Weight = states[i].weight
+	}, func(i int) error {
+		agg.absorb(&results[i])
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	agg.finish(rep, st.Block.percentiles(), results)
 	return rep, nil

@@ -16,7 +16,7 @@
 // saturation throughput, SLO-violation probability, capacity percentiles
 // — summarize what the cluster actually delivers under partial failure.
 //
-// Evaluation is sharded over the internal/batch worker pool with
+// Evaluation is spread over the internal/batch parallel loop with
 // ordered absorption, so identical spec+seed produce byte-identical
 // reports at any worker count. The scenario format carries the failure
 // block ("performability"), cmd/ccscen exposes the engine as `ccscen

@@ -116,38 +116,6 @@ func LoadAll(args []string) ([]*Spec, error) {
 	return specs, nil
 }
 
-// Summary is one line of `ccscen list` output.
-type Summary struct {
-	Path        string
-	Name        string
-	Title       string
-	Description string
-	Err         error // non-nil when the file does not load
-}
-
-// ListDir summarizes every *.json scenario in dir, including broken ones
-// (with their load error) so `ccscen list` doubles as a directory health
-// check.
-func ListDir(dir string) ([]Summary, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	sort.Strings(matches)
-	var out []Summary
-	for _, p := range matches {
-		sum := Summary{Path: p}
-		s, err := Load(p)
-		if err != nil {
-			sum.Err = err
-		} else {
-			sum.Name, sum.Title, sum.Description = s.Name, s.effectiveTitle(), s.Description
-		}
-		out = append(out, sum)
-	}
-	return out, nil
-}
-
 // effectiveTitle returns Title, falling back to Name.
 func (s *Spec) effectiveTitle() string {
 	if strings.TrimSpace(s.Title) != "" {

@@ -1,14 +1,13 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"github.com/ccnet/ccnet/internal/batch"
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/core"
 	"github.com/ccnet/ccnet/internal/netchar"
@@ -97,11 +96,6 @@ type simJob struct {
 // One scenario's failure does not stop the others; inspect each
 // Outcome's Err and Passed.
 func (r *Runner) Run(specs []*Spec) []*Outcome {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	outcomes := make([]*Outcome, len(specs))
 	preps := make([]*prepared, len(specs))
 	starts := make([]time.Time, len(specs))
@@ -109,7 +103,7 @@ func (r *Runner) Run(specs []*Spec) []*Outcome {
 	for i, s := range specs {
 		starts[i] = time.Now()
 		outcomes[i] = &Outcome{Spec: s}
-		p, err := r.prepare(s, workers)
+		p, err := r.prepare(s)
 		if err != nil {
 			outcomes[i].Err = err
 			outcomes[i].Elapsed = time.Since(starts[i])
@@ -121,36 +115,19 @@ func (r *Runner) Run(specs []*Spec) []*Outcome {
 		jobs = append(jobs, p.simJobs()...)
 	}
 
-	// One pool drains every scenario's simulation grid — the campaign's
+	// One loop drains every scenario's simulation grid — the campaign's
 	// heavy phase parallelizes across scenarios and grid points alike.
-	if len(jobs) > 0 {
-		errs := make([]error, len(jobs))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		n := workers
-		if n > len(jobs) {
-			n = len(jobs)
-		}
-		wg.Add(n)
-		for w := 0; w < n; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					errs[i] = jobs[i].run(r.simCounts(jobs[i].p.spec))
-				}
-			}()
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				out := outcomeOf(outcomes, preps, jobs[i].p)
-				if out.Err == nil {
-					out.Err = err
-				}
+	// Run fails only through its context or done, and neither can end
+	// here: a campaign is not cancellable yet.
+	errs := make([]error, len(jobs))
+	_ = batch.Run(context.TODO(), len(jobs), r.Workers, func(_, i int) {
+		errs[i] = jobs[i].run(r.simCounts(jobs[i].p.spec))
+	}, nil)
+	for i, err := range errs {
+		if err != nil {
+			out := outcomeOf(outcomes, preps, jobs[i].p)
+			if out.Err == nil {
+				out.Err = err
 			}
 		}
 	}
@@ -178,8 +155,8 @@ func outcomeOf(outcomes []*Outcome, preps []*prepared, p *prepared) *Outcome {
 
 // prepare builds the system and models, materializes the grid, runs the
 // analytical columns through SweepParallel, and lays out the result with
-// NaN simulation slots for the job pool to fill.
-func (r *Runner) prepare(s *Spec, workers int) (*prepared, error) {
+// NaN simulation slots for the simulation loop to fill.
+func (r *Runner) prepare(s *Spec) (*prepared, error) {
 	sys, err := s.BuildSystem()
 	if err != nil {
 		return nil, err
@@ -218,10 +195,10 @@ func (r *Runner) prepare(s *Spec, workers int) (*prepared, error) {
 		series := Series{Label: fmt.Sprintf("Lm=%d", dm)}
 		var analysis, sf []*core.Result
 		if s.Engines.analysisOn() {
-			analysis = p.paper[si].SweepParallel(p.grid, workers)
+			analysis = p.paper[si].SweepParallel(p.grid, r.Workers)
 		}
 		if s.Engines.analysisSFOn() {
-			sf = p.sf[si].SweepParallel(p.grid, workers)
+			sf = p.sf[si].SweepParallel(p.grid, r.Workers)
 		}
 		for gi, l := range p.grid {
 			pt := Point{Lambda: l, Analysis: math.NaN(),

@@ -247,29 +247,6 @@ func TestLoadAllRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
-func TestListDirReportsBrokenFiles(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "good.json"), []byte(validSpec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "broken.json"), []byte(`{"name":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sums, err := scenario.ListDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sums) != 2 {
-		t.Fatalf("%d summaries, want 2", len(sums))
-	}
-	if sums[0].Err == nil || !strings.Contains(filepath.Base(sums[0].Path), "broken") {
-		t.Errorf("broken.json not reported: %+v", sums[0])
-	}
-	if sums[1].Err != nil || sums[1].Name != "t" {
-		t.Errorf("good.json misreported: %+v", sums[1])
-	}
-}
-
 // TestFleetStudy: a valid kind "fleetsim" spec assembles a runnable
 // fleet study wired to the performability classes.
 func TestFleetStudy(t *testing.T) {

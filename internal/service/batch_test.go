@@ -8,10 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/ccnet/ccnet/internal/batch"
 )
 
 // smallBatch mixes all three item kinds against the small preset; the
@@ -30,7 +29,7 @@ const smallBatch = `{"items": [
 
 // readLines splits an NDJSON body into decoded frames: per-item
 // "progress" lines and the terminal "result" line's batch summary.
-func readLines(t *testing.T, body string) (results []BatchItemLine, summary *batch.Summary) {
+func readLines(t *testing.T, body string) (results []BatchItemLine, summary *BatchSummary) {
 	t.Helper()
 	sc := bufio.NewScanner(strings.NewReader(body))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -57,7 +56,7 @@ func readLines(t *testing.T, body string) (results []BatchItemLine, summary *bat
 			if err := json.Unmarshal([]byte(line), &r); err != nil {
 				t.Fatal(err)
 			}
-			var s batch.Summary
+			var s BatchSummary
 			if err := json.Unmarshal(r.Result, &s); err != nil {
 				t.Fatal(err)
 			}
@@ -203,15 +202,60 @@ func TestBatchItemErrorsDoNotAbort(t *testing.T) {
 	}
 }
 
-// TestBatchEnvelopeErrors covers whole-request failures: bad JSON and
-// unknown fields — all plain 400s before any streaming begins.
+// TestBatchItemErrorsAreCounted proves per-item failures are emitted
+// and counted without stopping the batch, and that failed items stay
+// out of the cache accounting: the hit rate covers the successful items
+// only.
+func TestBatchItemErrorsAreCounted(t *testing.T) {
+	srv := New(Options{Workers: 2})
+	srv.exec = func(_ context.Context, i int, _ BatchItem) batchOutcome {
+		if i%3 == 0 {
+			return batchOutcome{err: invalidSpec(fmt.Errorf("item %d bad", i))}
+		}
+		return batchOutcome{payload: json.RawMessage(`1`), cached: true}
+	}
+	items := make([]BatchItem, 9)
+	for i := range items {
+		items[i] = BatchItem{ID: fmt.Sprint("it-", i), Kind: "evaluate", Spec: json.RawMessage(`{}`)}
+	}
+	var out strings.Builder
+	sum, err := srv.RunBatch(context.Background(), items, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Items != 9 || sum.Emitted != 9 || sum.Failed != 3 || sum.Succeeded != 6 || sum.Canceled {
+		t.Fatalf("summary %+v", sum)
+	}
+	if sum.CacheHits != 6 || sum.CacheMisses != 0 || sum.HitRate != 1.0 {
+		t.Fatalf("cache accounting %+v", sum)
+	}
+	results, streamed := readLines(t, out.String())
+	if streamed == nil || *streamed != sum {
+		t.Fatalf("streamed summary %+v, returned %+v", streamed, sum)
+	}
+	for i, r := range results {
+		if r.Index != i || r.ID != items[i].ID || r.ItemKind != "evaluate" {
+			t.Fatalf("line %d lost its identity: %+v", i, r)
+		}
+		if failed := i%3 == 0; (r.Error != nil) != failed || r.Cached == failed {
+			t.Fatalf("line %d: error %v, cached %v", i, r.Error, r.Cached)
+		}
+	}
+}
+
+// TestBatchEnvelopeErrors covers whole-request failures: bad JSON,
+// unknown fields and a batch over the 10,000-item cap — all plain 400s
+// before any streaming begins.
 func TestBatchEnvelopeErrors(t *testing.T) {
 	srv := New(Options{})
 	h := srv.Handler()
+	tooMany := `{"items": [` + strings.Repeat(`{"kind": "evaluate", "spec": {}},`, maxBatchItems) +
+		`{"kind": "evaluate", "spec": {}}]}`
 	for name, body := range map[string]string{
 		"malformed":    `{"items": [`,
 		"unknownField": `{"items": [{"kind": "evaluate", "spec": {}}], "mode": "fast"}`,
 		"trailing":     `{"items": [{"kind": "evaluate", "spec": {}}]} {}`,
+		"tooMany":      tooMany,
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body)))
@@ -246,7 +290,7 @@ func TestBatchEmptyStreamsSummary(t *testing.T) {
 		if err := json.Unmarshal([]byte(lines[0]), &rl); err != nil {
 			t.Fatalf("%s: summary line does not parse: %v", name, err)
 		}
-		var sum batch.Summary
+		var sum BatchSummary
 		if err := json.Unmarshal(rl.Result, &sum); err != nil {
 			t.Fatalf("%s: summary payload does not parse: %v", name, err)
 		}
@@ -265,16 +309,16 @@ func TestBatchHTTPStreamsIncrementally(t *testing.T) {
 	srv := New(Options{Workers: 2})
 	firstLineRead := make(chan struct{})
 	lastFinished := make(chan struct{})
-	srv.exec = func(ctx context.Context, i int, it batch.Item) batch.Outcome {
+	srv.exec = func(ctx context.Context, i int, it BatchItem) batchOutcome {
 		if i == 2 {
 			select {
 			case <-firstLineRead:
 			case <-time.After(10 * time.Second):
-				return batch.Outcome{Err: fmt.Errorf("gate timeout: first line never read")}
+				return batchOutcome{err: fmt.Errorf("gate timeout: first line never read")}
 			}
 			close(lastFinished)
 		}
-		return batch.Outcome{Payload: json.RawMessage(fmt.Sprintf(`{"item":%d}`, i))}
+		return batchOutcome{payload: json.RawMessage(fmt.Sprintf(`{"item":%d}`, i))}
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -318,13 +362,13 @@ func TestBatchHTTPStreamsIncrementally(t *testing.T) {
 func TestBatchClientDisconnectCancelsWork(t *testing.T) {
 	srv := New(Options{Workers: 1})
 	sawCancel := make(chan struct{})
-	srv.exec = func(ctx context.Context, i int, it batch.Item) batch.Outcome {
+	srv.exec = func(ctx context.Context, i int, it BatchItem) batchOutcome {
 		if i == 1 {
 			<-ctx.Done() // second item outlives the client
 			close(sawCancel)
-			return batch.Outcome{Err: ctx.Err()}
+			return batchOutcome{err: ctx.Err()}
 		}
-		return batch.Outcome{Payload: json.RawMessage(`{}`)}
+		return batchOutcome{payload: json.RawMessage(`{}`)}
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -349,5 +393,53 @@ func TestBatchClientDisconnectCancelsWork(t *testing.T) {
 	case <-sawCancel:
 	case <-time.After(10 * time.Second):
 		t.Fatal("server never observed the client disconnect")
+	}
+}
+
+// TestBatchWriteFailureCancelsInFlightWork proves a failed write stops
+// the items already computing, not only those not yet started: under a
+// context that is never cancelled, every item from index 2 on blocks
+// until it sees the batch's own cancel, which only the failed write of
+// line 1 can send. Without it RunBatch would wait on them for ever.
+func TestBatchWriteFailureCancelsInFlightWork(t *testing.T) {
+	const workers = 4
+	srv := New(Options{Workers: workers})
+	var started atomic.Int64
+	srv.exec = func(ctx context.Context, i int, _ BatchItem) batchOutcome {
+		started.Add(1)
+		if i >= 2 {
+			<-ctx.Done()
+			return batchOutcome{err: context.Cause(ctx)}
+		}
+		return batchOutcome{payload: json.RawMessage(`{}`)}
+	}
+	items := make([]BatchItem, 64)
+	for i := range items {
+		items[i] = BatchItem{Kind: "evaluate", Spec: json.RawMessage(`{}`)}
+	}
+	type result struct {
+		sum BatchSummary
+		err error
+	}
+	ret := make(chan result, 1)
+	go func() {
+		// Line 0 is written, line 1 finds the pipe broken.
+		sum, err := srv.RunBatch(context.Background(), items, &failAfterWriter{n: 1})
+		ret <- result{sum, err}
+	}()
+	select {
+	case r := <-ret:
+		if r.err == nil || !strings.Contains(r.err.Error(), "emit item 1") {
+			t.Fatalf("err = %v, want the failed write of item 1", r.err)
+		}
+		if !r.sum.Canceled || r.sum.Emitted != 1 {
+			t.Fatalf("summary %+v, want canceled after one emitted item", r.sum)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunBatch still waits on in-flight items after a failed write")
+	}
+	// Indices 0 and 1, plus at most one blocked item per goroutine.
+	if s := started.Load(); s > 2+workers {
+		t.Fatalf("%d items started, want at most %d", s, 2+workers)
 	}
 }

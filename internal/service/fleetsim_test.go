@@ -127,7 +127,7 @@ func TestFleetSimEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestBatchFleetSimItem runs the simulation through the batch engine:
+// TestBatchFleetSimItem runs the simulation as a /v1/batch item:
 // the item answers with the same cached payload the endpoint computes.
 func TestBatchFleetSimItem(t *testing.T) {
 	srv := New(Options{Workers: 2})

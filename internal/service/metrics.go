@@ -51,10 +51,10 @@ func (s *Server) initMetrics() {
 	m.streamLines = reg.CounterVec("ccserved_stream_lines_total",
 		"NDJSON lines written to streaming responses, by endpoint.", "endpoint")
 	m.busyWorkers = reg.Gauge("ccserved_batch_workers_busy",
-		"Batch worker-pool goroutines currently executing an item.")
+		"Batch items currently executing on the parallel loop.")
 
 	reg.GaugeFunc("ccserved_worker_pool_size",
-		"Configured worker-pool size (sweep, campaign and batch parallelism).",
+		"Configured per-request fan-out (sweeps, campaigns, performability, fleetsim, optimize and batch items).",
 		func() float64 { return float64(s.workers()) })
 	reg.GaugeFunc("ccserved_uptime_seconds",
 		"Seconds since the server started.",

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/ccnet/ccnet/internal/batch"
 	"github.com/ccnet/ccnet/internal/metrics"
 )
 
@@ -190,10 +189,10 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 func TestStreamWriteErrorsCounted(t *testing.T) {
 	srv, ts := newTestServer(t)
 
-	items := make([]batch.Item, 4)
+	items := make([]BatchItem, 4)
 	for i := range items {
 		spec := fmt.Sprintf(`{"system": {"preset": "small"}, "message": {"flits": 16, "flitBytes": 128}, "lambda": %de-5}`, i+1)
-		items[i] = batch.Item{ID: fmt.Sprintf("it%d", i), Kind: "evaluate", Spec: []byte(spec)}
+		items[i] = BatchItem{ID: fmt.Sprintf("it%d", i), Kind: "evaluate", Spec: []byte(spec)}
 	}
 	// First line flows, then the pipe breaks.
 	_, err := srv.RunBatch(context.Background(), items, &failAfterWriter{n: 1})

@@ -110,7 +110,7 @@ func TestPerformabilityEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestBatchPerformabilityItem runs the block through the batch engine:
+// TestBatchPerformabilityItem runs the block as a /v1/batch item:
 // the item answers with the same cached payload the endpoint computes.
 func TestBatchPerformabilityItem(t *testing.T) {
 	srv := New(Options{Workers: 2})

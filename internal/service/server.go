@@ -34,8 +34,9 @@ type Options struct {
 	CacheEntries int
 	CacheBytes   int64
 	CacheTTL     time.Duration
-	// Workers bounds analytical sweep and campaign parallelism
-	// (default GOMAXPROCS).
+	// Workers bounds each request's fan-out on the parallel loop:
+	// sweeps, campaigns, performability, fleet simulation, optimize and
+	// batch items (default GOMAXPROCS).
 	Workers int
 	// ShardID names this replica when it serves behind ccrouter: it is
 	// echoed in /v1/healthz, /v1/version and the X-Shard response
@@ -59,9 +60,9 @@ type Server struct {
 	flight flightGroup
 	start  time.Time
 
-	// exec computes one batch item; New points it at execBatchItem,
-	// streaming tests substitute gated executors.
-	exec batch.Exec
+	// exec, when set, computes each batch item in place of
+	// execBatchItem; streaming tests substitute gated executors.
+	exec func(ctx context.Context, index int, it BatchItem) batchOutcome
 
 	// requests counts the requests accepted per endpoint-table row.
 	requests    [len(endpoints)]atomic.Uint64
@@ -94,14 +95,6 @@ func New(opt Options) *Server {
 		start: time.Now(),
 	}
 	s.initMetrics()
-	// The busy-workers gauge wraps the executor so every path into the
-	// batch pool (HTTP, ccscen, tests with the real executor) reports
-	// pool depth.
-	s.exec = func(ctx context.Context, index int, it batch.Item) batch.Outcome {
-		s.m.busyWorkers.Add(1)
-		defer s.m.busyWorkers.Add(-1)
-		return s.execBatchItem(ctx, index, it)
-	}
 	return s
 }
 
@@ -358,15 +351,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // requestCount returns how many requests the row named name accepted.
 func (s *Server) requestCount(name string) uint64 { return s.requests[rowIndex(name)].Load() }
 
-func (s *Server) workers() int {
-	if s.opt.Workers > 0 {
-		return s.opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// workers is the fan-out bound every request hands the parallel loop:
+// Options.Workers, or GOMAXPROCS by default.
+func (s *Server) workers() int { return batch.Workers(s.opt.Workers, math.MaxInt) }
 
 // cachedClass reports whether class avoided its own computation (the
-// Envelope.Cached field and the batch Outcome.Cached field).
+// Envelope.Cached field and a batch item line's cached field).
 func cachedClass(class string) bool { return class == classHit || class == classCoalesced }
 
 // finish writes the enveloped payload, or maps the compute error to its

@@ -1,13 +1,12 @@
 // Package stats implements the measurement protocol of the paper's
 // validation section: per-message latency samples gathered between a
 // warm-up phase and a drain phase, summarized as means with confidence
-// intervals, plus running accumulators and histograms used for diagnosis.
+// intervals, plus the running accumulators they are built from.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator keeps running count/mean/variance (Welford) plus extrema.
@@ -142,68 +141,11 @@ func (c *Collector) Record(p Phase, latency float64) {
 // Generated returns the total number of messages classified so far.
 func (c *Collector) Generated() uint64 { return c.generated }
 
-// MeasuredDelivered returns how many measured-phase messages have been
-// delivered.
-func (c *Collector) MeasuredDelivered() uint64 { return c.measuredDelivered }
-
 // DoneMeasuring reports whether every measured-phase message has been
 // generated and delivered.
 func (c *Collector) DoneMeasuring() bool {
 	return c.generated >= c.WarmupCount+c.MeasureCount &&
 		c.measuredDelivered >= c.MeasureCount
-}
-
-// Histogram is a fixed-width latency histogram with overflow bucket.
-type Histogram struct {
-	Width   float64
-	Buckets []uint64
-	Over    uint64
-}
-
-// NewHistogram creates a histogram of n buckets of the given width.
-func NewHistogram(n int, width float64) *Histogram {
-	if n <= 0 || width <= 0 {
-		panic(fmt.Sprintf("stats: invalid histogram shape n=%d width=%v", n, width))
-	}
-	return &Histogram{Width: width, Buckets: make([]uint64, n)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	i := int(x / h.Width)
-	if x < 0 {
-		panic(fmt.Sprintf("stats: negative histogram sample %v", x))
-	}
-	if i >= len(h.Buckets) {
-		h.Over++
-		return
-	}
-	h.Buckets[i]++
-}
-
-// Quantile returns an upper bound for the q-quantile (0<q<=1) using bucket
-// upper edges; +Inf if the quantile falls in the overflow bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q <= 0 || q > 1 {
-		panic(fmt.Sprintf("stats: invalid quantile %v", q))
-	}
-	var total uint64
-	for _, b := range h.Buckets {
-		total += b
-	}
-	total += h.Over
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	var acc uint64
-	for i, b := range h.Buckets {
-		acc += b
-		if acc >= target {
-			return float64(i+1) * h.Width
-		}
-	}
-	return math.Inf(1)
 }
 
 // BatchMeans splits samples into nBatches equal batches and returns the
@@ -223,20 +165,6 @@ func BatchMeans(samples []float64, nBatches int) []float64 {
 		means = append(means, sum/float64(size))
 	}
 	return means
-}
-
-// Median returns the median of a copy of xs (0 when empty).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64{}, xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
 // tTable holds two-sided 95 % Student-t critical values for small degrees

@@ -117,46 +117,6 @@ func TestCI95ShrinksWithSamples(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 1.0)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	for i, b := range h.Buckets {
-		if b != 10 {
-			t.Fatalf("bucket %d = %d, want 10", i, b)
-		}
-	}
-	h.Add(1e9)
-	if h.Over != 1 {
-		t.Fatalf("overflow = %d, want 1", h.Over)
-	}
-	// Median of uniform 0..10 is bounded by bucket edge 5 or 6.
-	q := h.Quantile(0.5)
-	if q < 5 || q > 6 {
-		t.Fatalf("median bound = %v", q)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 1) },
-		func() { NewHistogram(5, 0) },
-		func() { NewHistogram(5, 1).Add(-1) },
-		func() { NewHistogram(5, 1).Quantile(0) },
-		func() { NewHistogram(5, 1).Quantile(1.5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestBatchMeans(t *testing.T) {
 	samples := []float64{1, 1, 2, 2, 3, 3, 4, 4}
 	means := BatchMeans(samples, 4)
@@ -168,24 +128,6 @@ func TestBatchMeans(t *testing.T) {
 	}
 	if BatchMeans(samples, 0) != nil || BatchMeans([]float64{1}, 2) != nil {
 		t.Fatal("degenerate batch splits must return nil")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Fatalf("odd median = %v", m)
-	}
-	if m := Median([]float64{4, 1, 3, 2}); m != 2.5 {
-		t.Fatalf("even median = %v", m)
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median must be 0")
-	}
-	// Median must not mutate its input.
-	in := []float64{9, 1, 5}
-	Median(in)
-	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Fatal("Median mutated input")
 	}
 }
 

@@ -116,9 +116,6 @@ func (c *Channel) Utilization(now float64) float64 {
 	return b / now
 }
 
-// QueueLen returns the number of messages currently waiting on the channel.
-func (c *Channel) QueueLen() int { return c.waiters.len() }
-
 // Route is a channel path compiled by Engine.NewRoute. It is read-only
 // and shared by every journey that takes the path.
 type Route struct {
