@@ -239,6 +239,7 @@ func BenchmarkRouting(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := t.Nodes()
+	var path []routing.Hop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := i % n
@@ -246,7 +247,7 @@ func BenchmarkRouting(b *testing.B) {
 		if src == dst {
 			dst = (dst + 1) % n
 		}
-		if len(routing.Route(t, src, dst)) == 0 {
+		if path = routing.Route(path[:0], t, src, dst); len(path) == 0 {
 			b.Fatal("empty route")
 		}
 	}
@@ -254,7 +255,7 @@ func BenchmarkRouting(b *testing.B) {
 
 // BenchmarkWormholeJourney measures the channel engine: 16 contended
 // journeys of 32 flits over one 8-channel path with the paper's
-// single-flit buffers, whose schedules take the one-pass fill.
+// single-flit buffers, whose schedules take the closed form.
 func BenchmarkWormholeJourney(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var k des.Kernel
@@ -313,7 +314,7 @@ func BenchmarkKernelHold100(b *testing.B) { benchKernelHold(b, 100) }
 // BenchmarkWormholeJourneyDeep is BenchmarkWormholeJourney's other side
 // of the engine: 16 journeys of 8 flits over 8 shared channels with
 // 4-flit buffers, whose schedules settle in partial bands from the
-// second grant on (the frontier fill, not the one-pass fill).
+// second grant on (the frontier fill, not the closed form).
 func BenchmarkWormholeJourneyDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var k des.Kernel

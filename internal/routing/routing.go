@@ -50,15 +50,15 @@ type Hop struct {
 	From, To int
 }
 
-// Route returns the Up*/Down* path from src to dst in t as an ordered hop
-// list. The path crosses exactly 2h links where h = t.NCAHeight(src,dst).
-func Route(t *topology.Tree, src, dst int) []Hop {
+// Route appends the Up*/Down* path from src to dst in t to path, as an
+// ordered hop list, and returns the extended slice. The path crosses
+// exactly 2h links where h = t.NCAHeight(src,dst). A caller routing many
+// pairs passes one slice back in, truncated, and allocates nothing once
+// it has grown.
+func Route(path []Hop, t *topology.Tree, src, dst int) []Hop {
 	if src == dst {
 		panic("routing: route from a node to itself")
 	}
-	h := t.NCAHeight(src, dst)
-	path := make([]Hop, 0, 2*h)
-
 	cur := t.LeafSwitchOf(src)
 	path = append(path, Hop{Kind: Inject, From: src, To: cur})
 
@@ -70,25 +70,23 @@ func Route(t *topology.Tree, src, dst int) []Hop {
 	// roots — picking the same digit the descent later consumes would
 	// instead funnel every message bound for one subtree through a single
 	// root switch.
-	_, dstDigits := t.NodeDigits(dst)
 	for !t.Covers(cur, dst) {
 		sw := t.Switch(cur)
-		up := sw.Up[dstDigits[t.N-sw.Level]]
+		up := sw.Up[t.NodeDigit(dst, t.N-sw.Level)]
 		path = append(path, Hop{Kind: SwitchToSwitch, From: cur, To: up})
 		cur = up
 	}
-
-	path = append(path, descend(t, cur, dst)...)
-	return path
+	return descend(path, t, cur, dst)
 }
 
-// RouteToRoot returns the purely ascending path from src to the root
-// switch with index rootIdx (no eject hop; the path ends at the root).
-// Gateways (concentrator/dispatchers) hang off roots in the simulator.
-func RouteToRoot(t *topology.Tree, src, rootIdx int) []Hop {
+// RouteToRoot appends the purely ascending path from src to the root
+// switch with index rootIdx (no eject hop; the path ends at the root) to
+// path and returns the extended slice. Gateways
+// (concentrator/dispatchers) hang off roots in the simulator.
+func RouteToRoot(path []Hop, t *topology.Tree, src, rootIdx int) []Hop {
 	rootID := t.Root(rootIdx)
 	cur := t.LeafSwitchOf(src)
-	path := []Hop{{Kind: Inject, From: src, To: cur}}
+	path = append(path, Hop{Kind: Inject, From: src, To: cur})
 	rootLabel := t.Switch(rootID).Label
 	for t.Switch(cur).Level > 0 {
 		sw := t.Switch(cur)
@@ -102,21 +100,19 @@ func RouteToRoot(t *topology.Tree, src, rootIdx int) []Hop {
 	return path
 }
 
-// RouteFromRoot returns the purely descending path from the root switch
+// RouteFromRoot appends the purely descending path from the root switch
 // with index rootIdx down to dst (starts at the root, ends with the eject
-// hop).
-func RouteFromRoot(t *topology.Tree, rootIdx, dst int) []Hop {
-	return descend(t, t.Root(rootIdx), dst)
+// hop) to path and returns the extended slice.
+func RouteFromRoot(path []Hop, t *topology.Tree, rootIdx, dst int) []Hop {
+	return descend(path, t, t.Root(rootIdx), dst)
 }
 
-// descend walks the unique downward path from switch cur (which must cover
-// dst) to dst.
-func descend(t *topology.Tree, cur, dst int) []Hop {
+// descend appends the unique downward path from switch cur (which must
+// cover dst) to dst.
+func descend(path []Hop, t *topology.Tree, cur, dst int) []Hop {
 	if !t.Covers(cur, dst) {
 		panic(fmt.Sprintf("routing: switch %d does not cover node %d", cur, dst))
 	}
-	var path []Hop
-	dstHalf, dstDigits := t.NodeDigits(dst)
 	for {
 		sw := t.Switch(cur)
 		if sw.Level == t.N-1 {
@@ -125,9 +121,9 @@ func descend(t *topology.Tree, cur, dst int) []Hop {
 		}
 		var next int
 		if sw.Level == 0 {
-			next = sw.Down[dstHalf*t.K+dstDigits[0]]
+			next = sw.Down[t.NodeHalf(dst)*t.K+t.NodeDigit(dst, 0)]
 		} else {
-			next = sw.Down[dstDigits[sw.Level]]
+			next = sw.Down[t.NodeDigit(dst, sw.Level)]
 		}
 		path = append(path, Hop{Kind: SwitchToSwitch, From: cur, To: next})
 		cur = next
@@ -208,12 +204,14 @@ func (h Hop) Key() ChannelKey { return ChannelKey{Kind: h.Kind, From: h.From, To
 // tests on small trees (O(N²·n) routes).
 func LinkLoads(t *topology.Tree) map[ChannelKey]int {
 	loads := make(map[ChannelKey]int)
+	var path []Hop
 	for s := 0; s < t.Nodes(); s++ {
 		for d := 0; d < t.Nodes(); d++ {
 			if s == d {
 				continue
 			}
-			for _, hop := range Route(t, s, d) {
+			path = Route(path[:0], t, s, d)
+			for _, hop := range path {
 				loads[hop.Key()]++
 			}
 		}

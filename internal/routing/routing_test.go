@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +25,7 @@ func TestRouteLengthMatchesNCA(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				path := Route(tree, src, dst)
+				path := Route(nil, tree, src, dst)
 				want := tree.DistanceLinks(src, dst)
 				if len(path) != want {
 					t.Fatalf("(%d,%d) route %d→%d has %d hops, want %d",
@@ -43,7 +44,7 @@ func TestAllRoutesValidate(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				if err := Validate(tree, Route(tree, src, dst)); err != nil {
+				if err := Validate(tree, Route(nil, tree, src, dst)); err != nil {
 					t.Fatalf("(%d,%d) %d→%d: %v", s.m, s.n, src, dst, err)
 				}
 			}
@@ -59,7 +60,7 @@ func TestRouteEndpoints(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		path := Route(tree, src, dst)
+		path := Route(nil, tree, src, dst)
 		return path[0].Kind == Inject && path[0].From == src &&
 			path[len(path)-1].Kind == Eject && path[len(path)-1].To == dst
 	}
@@ -68,19 +69,26 @@ func TestRouteEndpoints(t *testing.T) {
 	}
 }
 
+// TestRouteIsDeterministic: every call gives the same hops, also when it
+// appends them to a reused slice after a prefix it keeps, and routing
+// into a slice with room allocates nothing.
 func TestRouteIsDeterministic(t *testing.T) {
 	tree := mustTree(t, 8, 2)
+	want := Route(nil, tree, 3, 29)
+	prefix := Hop{Kind: Eject, From: 7, To: 8}
+	buf := []Hop{prefix}
 	for trial := 0; trial < 3; trial++ {
-		a := Route(tree, 3, 29)
-		b := Route(tree, 3, 29)
-		if len(a) != len(b) {
-			t.Fatal("route length changed between calls")
+		buf = Route(buf[:1], tree, 3, 29)
+		if buf[0] != prefix || !slices.Equal(buf[1:], want) {
+			t.Fatalf("trial %d: route %v after prefix %v, want %v", trial, buf[1:], buf[0], want)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("route differs at hop %d: %v vs %v", i, a[i], b[i])
-			}
-		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		buf = Route(buf[:0], tree, 3, 29)
+		buf = RouteToRoot(buf[:0], tree, 3, 1)
+		buf = RouteFromRoot(buf[:0], tree, 1, 29)
+	}); n != 0 {
+		t.Errorf("routing into a reused slice allocates %v objects per run", n)
 	}
 }
 
@@ -88,7 +96,7 @@ func TestRouteToRootReachesEveryRoot(t *testing.T) {
 	tree := mustTree(t, 4, 3)
 	for src := 0; src < tree.Nodes(); src++ {
 		for r := 0; r < tree.NumRoots(); r++ {
-			path := RouteToRoot(tree, src, r)
+			path := RouteToRoot(nil, tree, src, r)
 			// n links: inject + (n−1) ascents.
 			if len(path) != tree.N {
 				t.Fatalf("ascent %d→root%d has %d hops, want %d", src, r, len(path), tree.N)
@@ -108,7 +116,7 @@ func TestRouteFromRootReachesEveryNode(t *testing.T) {
 	tree := mustTree(t, 4, 3)
 	for r := 0; r < tree.NumRoots(); r++ {
 		for dst := 0; dst < tree.Nodes(); dst++ {
-			path := RouteFromRoot(tree, r, dst)
+			path := RouteFromRoot(nil, tree, r, dst)
 			if len(path) != tree.N {
 				t.Fatalf("descent root%d→%d has %d hops, want %d", r, dst, len(path), tree.N)
 			}
@@ -140,7 +148,7 @@ func TestUpDownPhaseOrder(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			path := Route(tree, src, dst)
+			path := Route(nil, tree, src, dst)
 			phase := "up"
 			prevLevel := tree.N // node level, below leaves
 			for _, hop := range path[:len(path)-1] {
@@ -217,7 +225,7 @@ func TestTotalLinkTraversalsMatchMeanDistance(t *testing.T) {
 
 func TestValidateRejectsCorruptPaths(t *testing.T) {
 	tree := mustTree(t, 4, 2)
-	good := Route(tree, 0, tree.Nodes()-1)
+	good := Route(nil, tree, 0, tree.Nodes()-1)
 
 	// Discontinuity.
 	bad := make([]Hop, len(good))
@@ -247,5 +255,5 @@ func TestRoutePanicsOnSelfRoute(t *testing.T) {
 			t.Fatal("Route(x,x) did not panic")
 		}
 	}()
-	Route(tree, 1, 1)
+	Route(nil, tree, 1, 1)
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -230,6 +231,47 @@ func TestConcurrentRepeats(t *testing.T) {
 				t.Errorf("%d computes for one body, want 1", srv.Computes())
 			}
 		})
+	}
+}
+
+// countingRequest is a request with a fixed key that counts its
+// computations.
+type countingRequest struct {
+	k        canon.Key
+	computed int
+}
+
+func (r *countingRequest) key() (canon.Key, error) { return r.k, nil }
+
+func (r *countingRequest) compute(context.Context, int, func(any)) (any, error) {
+	r.computed++
+	return r.computed, nil
+}
+
+// TestFlightRechecksCache: a flight started after another flight for
+// the same key stored its result and landed — the window between a
+// missed lookup and Join — answers from the cache without computing and
+// without counting a second lookup; with nothing cached it computes
+// once and caches the result.
+func TestFlightRechecksCache(t *testing.T) {
+	srv := New(Options{})
+	req := &countingRequest{k: "v2:recheck"}
+	srv.cache.Put(req.k, []byte("41"))
+	v, found, err := srv.fly(context.Background(), nil, req.k, req, noProgress)
+	if err != nil || !found || string(v) != "41" || req.computed != 0 || srv.Computes() != 0 {
+		t.Errorf("cached key: %q found %v err %v, %d computes", v, found, err, srv.Computes())
+	}
+	if st := srv.cache.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("the re-check counted %d hits and %d misses, want none", st.Hits, st.Misses)
+	}
+
+	cold := &countingRequest{k: "v2:cold"}
+	v, found, err = srv.fly(context.Background(), nil, cold.k, cold, noProgress)
+	if err != nil || found || string(v) != "1" || cold.computed != 1 || srv.Computes() != 1 {
+		t.Errorf("cold key: %q found %v err %v, %d computes", v, found, err, srv.Computes())
+	}
+	if got, ok := srv.cache.Get(cold.k); !ok || string(got) != "1" {
+		t.Errorf("cold key cached %q %v, want the computed result", got, ok)
 	}
 }
 

@@ -103,17 +103,32 @@ func NewCache(maxEntries int, maxBytes int64, ttl time.Duration) *Cache {
 func (c *Cache) Get(k canon.Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	v, ok := c.getLocked(k)
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	return v, ok
+}
+
+// recheck is Get without counting a hit or a miss, for a second look
+// at a key whose lookup was already counted.
+func (c *Cache) recheck(k canon.Key) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.getLocked(k)
+}
+
+func (c *Cache) getLocked(k canon.Key) ([]byte, bool) {
 	el, ok := c.items[k]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
 	e, ok := c.liveLocked(el)
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	return e.val, true
 }
 

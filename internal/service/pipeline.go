@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"github.com/ccnet/ccnet/internal/canon"
@@ -119,13 +120,14 @@ func parse(ctx context.Context, e *endpoint, body []byte, doc string) (request, 
 
 // answer keys req under the "canon" span and answers it from the cache,
 // or through the flight group so that concurrent identical requests
-// compute once. class reports how the answer was produced: classHit,
+// compute once. class reports how the answer was produced: classHit
+// (from the cache, also when the flight found the result there),
 // classCoalesced (shared another caller's flight) or classMiss (started
-// the flight). A flight runs under its own context, cancelled only when
-// its last waiter leaves; emit receives the progress lines of a flight
-// this caller starts. A compute error is the spec's (invalid_spec)
-// unless the flight was cancelled; failing to key or encode is the
-// service's fault.
+// the flight and computed). A flight runs under its own context,
+// cancelled only when its last waiter leaves; emit receives the progress
+// lines of a flight this caller starts. A compute error is the spec's
+// (invalid_spec) unless the flight was cancelled; failing to key or
+// encode is the service's fault.
 func (s *Server) answer(ctx context.Context, req request, emit func(any)) ([]byte, canon.Key, string, error) {
 	tr := reqtrace.FromContext(ctx)
 	sp := tr.StartSpan("canon")
@@ -141,30 +143,48 @@ func (s *Server) answer(ctx context.Context, req request, emit func(any)) ([]byt
 	}
 	cs.Attr(viaKey).End()
 	flightStart := time.Now()
+	var found atomic.Bool
 	v, err, shared := s.flight.Join(ctx, string(key), func(ctx context.Context) ([]byte, error) {
-		s.computes.Add(1)
-		sp := tr.StartSpan("compute")
-		res, err := req.compute(ctx, s.workers(), emit)
-		var payload []byte
-		switch {
-		case err == nil:
-			payload, err = json.Marshal(res)
-		case ctx.Err() == nil:
-			err = invalidSpec(err)
-		}
-		sp.EndErr(err)
-		if err == nil {
-			s.cache.Put(key, payload)
-		}
-		return payload, err
+		v, ok, err := s.fly(ctx, tr, key, req, emit)
+		found.Store(ok)
+		return v, err
 	})
-	if shared {
+	switch {
+	case shared:
 		s.coalesced.Add(1)
 		tr.RecordSpan("wait", flightStart, time.Since(flightStart)).
 			Attr(reqtrace.String("class", classCoalesced))
 		return v, key, classCoalesced, err
+	case err == nil && found.Load():
+		return v, key, classHit, nil
 	}
 	return v, key, classMiss, err
+}
+
+// fly is the flight answer starts for key. It looks the cache up once
+// more before computing, without counting a second lookup: another
+// flight for key may have stored its result and landed between answer's
+// lookup and its Join, and then found is true and nothing computes.
+// Otherwise it computes req under the "compute" span and caches the
+// encoded result.
+func (s *Server) fly(ctx context.Context, tr *reqtrace.Trace, key canon.Key, req request, emit func(any)) (payload []byte, found bool, err error) {
+	if v, ok := s.cache.recheck(key); ok {
+		return v, true, nil
+	}
+	s.computes.Add(1)
+	sp := tr.StartSpan("compute")
+	res, err := req.compute(ctx, s.workers(), emit)
+	switch {
+	case err == nil:
+		payload, err = json.Marshal(res)
+	case ctx.Err() == nil:
+		err = invalidSpec(err)
+	}
+	sp.EndErr(err)
+	if err == nil {
+		s.cache.Put(key, payload)
+	}
+	return payload, false, err
 }
 
 // Attributes of the "cache" span: how the entry was looked up (by body

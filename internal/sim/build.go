@@ -92,6 +92,7 @@ type fabric struct {
 	// nil entry is not compiled yet. icn2Routes is indexed
 	// srcCluster·C + dstCluster, the cluster tables are in clusterNets.
 	icn2Routes []*wormhole.Route
+	hops       []routing.Hop       // scratch for the path being routed
 	path       []*wormhole.Channel // scratch for the path being compiled
 }
 
@@ -219,7 +220,8 @@ func (f *fabric) intraRoute(c, srcLocal, dstLocal int) *wormhole.Route {
 	cn := &f.clusters[c]
 	r := &cn.intra[srcLocal*cn.nodes+dstLocal]
 	if *r == nil {
-		*r = f.compile(cn.icn1, routing.Route(cn.icn1.tree, srcLocal, dstLocal), nil, nil)
+		f.hops = routing.Route(f.hops[:0], cn.icn1.tree, srcLocal, dstLocal)
+		*r = f.compile(cn.icn1, f.hops, nil, nil)
 	}
 	return *r
 }
@@ -240,13 +242,15 @@ func (f *fabric) interRoutes(srcCluster, dstCluster, srcLocal, dstLocal, dstGlob
 	exitRoot := dstGlobal % src.roots
 	up := &src.up[srcLocal*src.roots+exitRoot]
 	if *up == nil {
-		*up = f.compile(src.ecn1, routing.RouteToRoot(src.ecn1.tree, srcLocal, exitRoot), nil, src.concEntry[exitRoot])
+		f.hops = routing.RouteToRoot(f.hops[:0], src.ecn1.tree, srcLocal, exitRoot)
+		*up = f.compile(src.ecn1, f.hops, nil, src.concEntry[exitRoot])
 	}
 
 	// Segment 2: ICN2 treats gateways as its leaves.
 	mid := &f.icn2Routes[srcCluster*len(f.clusters)+dstCluster]
 	if *mid == nil {
-		*mid = f.compile(f.icn2, routing.Route(f.icn2.tree, srcCluster, dstCluster), nil, nil)
+		f.hops = routing.Route(f.hops[:0], f.icn2.tree, srcCluster, dstCluster)
+		*mid = f.compile(f.icn2, f.hops, nil, nil)
 	}
 
 	// Segment 3: leave the gateway through the destination-hashed root of
@@ -254,7 +258,8 @@ func (f *fabric) interRoutes(srcCluster, dstCluster, srcLocal, dstLocal, dstGlob
 	entryRoot := dstGlobal % dst.roots
 	down := &dst.down[entryRoot*dst.nodes+dstLocal]
 	if *down == nil {
-		*down = f.compile(dst.ecn1, routing.RouteFromRoot(dst.ecn1.tree, entryRoot, dstLocal), dst.dispEntry[entryRoot], nil)
+		f.hops = routing.RouteFromRoot(f.hops[:0], dst.ecn1.tree, entryRoot, dstLocal)
+		*down = f.compile(dst.ecn1, f.hops, dst.dispEntry[entryRoot], nil)
 	}
 
 	return [3]*wormhole.Route{*up, *mid, *down}

@@ -119,26 +119,29 @@ func (t *Tree) digitsOf(col int) []int {
 	return d
 }
 
-// NodeDigits returns (half, d_1..d_n) for a node id.
-func (t *Tree) NodeDigits(node int) (half int, digits []int) {
+// NodeHalf returns the half (0 or 1) of the tree a node id lies in.
+func (t *Tree) NodeHalf(node int) int {
+	t.checkNode(node)
+	return node / t.kPowers[t.N]
+}
+
+// NodeDigit returns digit d_{i+1} (i ∈ [0, n)) of a node id's base-k
+// label within its half, most significant first, without building the
+// label.
+func (t *Tree) NodeDigit(node, i int) int {
+	t.checkNode(node)
+	return node / t.kPowers[t.N-1-i] % t.K
+}
+
+func (t *Tree) checkNode(node int) {
 	if node < 0 || node >= t.nodes {
 		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", node, t.nodes))
 	}
-	half = node / t.kPowers[t.N]
-	v := node % t.kPowers[t.N]
-	digits = make([]int, t.N)
-	for i := t.N - 1; i >= 0; i-- {
-		digits[i] = v % t.K
-		v /= t.K
-	}
-	return half, digits
 }
 
 // LeafSwitchOf returns the id of the leaf switch a node attaches to.
 func (t *Tree) LeafSwitchOf(node int) int {
-	if node < 0 || node >= t.nodes {
-		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", node, t.nodes))
-	}
+	t.checkNode(node)
 	half := node / t.kPowers[t.N]
 	col := (node % t.kPowers[t.N]) / t.K
 	if t.N == 1 {
@@ -255,13 +258,15 @@ func (t *Tree) NCAHeight(src, dst int) int {
 	if src == dst {
 		panic("topology: NCAHeight of a node with itself")
 	}
-	hs, ds := t.NodeDigits(src)
-	hd, dd := t.NodeDigits(dst)
-	if hs != hd {
+	t.checkNode(src)
+	t.checkNode(dst)
+	// Nodes share digits d_1…d_{j+1} exactly when they agree after
+	// dividing by k^(n−1−j); the halves are the digit above d_1.
+	if src/t.kPowers[t.N] != dst/t.kPowers[t.N] {
 		return t.N // nearest common ancestors are the roots
 	}
 	for j := 0; j < t.N; j++ {
-		if ds[j] != dd[j] {
+		if p := t.kPowers[t.N-1-j]; src/p != dst/p {
 			// First differing digit at 1-based position j+1 → NCA at
 			// level j → ascending phase of n−j links.
 			return t.N - j

@@ -33,18 +33,28 @@
 // computes nothing. Otherwise it fills the newly settled cells in one
 // row-major pass — each cell depends only on earlier rows and on the cell
 // to its left — then schedules the releases of the columns whose tail row
-// it reached, in channel order. This frontier fill, settle, serves the
-// journeys with a deeper buffer after the first channel or with M < L.
-// The paper's journeys — single-flit buffers (B_k = 1 for k ≥ 1) and
-// M ≥ L — settle nothing before the final acquisition, and fillOnePass
-// computes their whole schedule there in one pass with no frontier:
-// behind a one-flit buffer the link term never binds before the last
-// column, so each cell is the max of two terms, bit for bit the cell
-// settle computes. The engine reproduces the defining wormhole
-// behaviours: the pipeline streams at the rate of the slowest held
-// channel, and a blocked head stalls its body flits in place, holding
-// every upstream channel whose buffers cannot absorb them; with
-// B ≥ message length the behaviour becomes virtual cut-through.
+// it reached, in channel order.
+//
+// This frontier fill, settle, serves every journey but the paper's.
+// When the channels after the first have one-flit buffers, their flit
+// times s_0 … s_{L−2} never decrease, and a message of M ≥ L flits has
+// no Avail, each anti-diagonal j+k = d of the schedule starts at one
+// time: start(j,k) = T[j+k], with T[d] = a_d for d < L and
+// T[d] = T[d−1] + σ after, σ = max(s_{L−2}, s_{L−1}) (s_0 when L = 1).
+// On a diagonal the buffer term start(j−1,k+1) is never below the link
+// term or the arrival term (the head requests channel d at
+// a_{d−1} + s_{d−1}, s does not fall before L−1, σ bounds every s_k),
+// and in the last column both remaining terms add to T[d−1], so their
+// max rounds to T[d−1] + σ. Such a journey settles nothing before its
+// last grant, which writes T, the exits T[j+L−1] + s_{L−1} and the
+// releases T[M−1+k] + s_k: the sums settle forms, bit for bit, in M+L−1
+// values instead of M·L.
+//
+// The engine reproduces the defining wormhole behaviours: the pipeline
+// streams at the rate of the slowest held channel, and a blocked head
+// stalls its body flits in place, holding every upstream channel whose
+// buffers cannot absorb them; with B ≥ message length the behaviour
+// becomes virtual cut-through.
 //
 // Journeys may be chained through store-and-forward points (the paper's
 // concentrator/dispatcher buffers) by feeding one journey's per-flit exit
@@ -57,8 +67,8 @@
 // channel by the id AddChannels gave it, and one caller event kind, Post,
 // hands an integer to OnPost. A path is compiled once into a Route that
 // every journey over it shares: each channel's flit time, buffer depth
-// and release ref, and whether the one-pass fill can apply, so starting
-// a journey copies and checks nothing per channel.
+// and release ref, and whether the closed form can apply, so starting a
+// journey copies and checks nothing per channel.
 package wormhole
 
 import (
@@ -125,10 +135,13 @@ type Route struct {
 	// B_k and the release ref, copied at compile time.
 	hops []hop
 
-	// single is set when every channel after the first has a one-flit
-	// buffer; a journey of at least len(Channels) flits then takes the
-	// one-pass fill.
-	single bool
+	// closed is set when every channel after the first has a one-flit
+	// buffer and s_0 … s_{L−2} never decrease: a journey of at least L
+	// flits with no Avail then takes the closed-form schedule, whose
+	// diagonals past the head's advance by sigma = max(s_{L−2}, s_{L−1})
+	// (s_0 when L = 1).
+	closed bool
+	sigma  float64
 }
 
 type hop struct {
@@ -170,19 +183,15 @@ type Journey struct {
 	acquired int // channels acquired so far
 
 	// Flit-schedule state, allocated at the first grant and reusable
-	// through Engine.Recycle. floats holds the start(j,k) matrix
-	// row-major (start[j·L+k], so Acquire is its first row), then exits.
-	// ints, used by settle only, holds the settled row count of each
-	// column, then the frontier u_k of the current grant.
-	floats   []float64 // start (L·M) | exits (M)
+	// through Engine.Recycle. For settle, floats holds the start(j,k)
+	// matrix row-major (start[j·L+k], so Acquire is its first row), then
+	// exits, and ints the settled row count of each column, then the
+	// frontier u_k of the current grant. A closed-form journey's floats
+	// hold the diagonal times T (Acquire is T[0…L−1]), then exits.
+	floats   []float64 // start (L·M) or T (M+L−1) | exits (M)
 	ints     []int     // settled (L) | frontier (L)
 	exits    []float64 // d(j, L−1), a view into floats
 	prepared bool
-
-	// onePass is set by prepare when the route has single-flit buffers
-	// after the first channel and Flits ≥ L: nothing settles before the
-	// last grant, which fills the whole schedule with fillOnePass.
-	onePass bool
 }
 
 // Engine drives journeys over an event kernel whose dispatch it owns.
@@ -307,10 +316,10 @@ func (e *Engine) AddChannels(chs []Channel) {
 
 // NewRoute compiles the path chans, whose channels must belong to e:
 // it copies the slice, each channel's flit time and buffer depth
-// (checked, as at least 1) and release ref, and notes whether every
-// buffer after the first holds one flit. The route reads no channel
-// field again, so change a channel's FlitTime or BufferDepth only
-// before compiling a route over it.
+// (checked, as at least 1) and release ref, and decides whether the
+// closed-form schedule can apply. The route reads no channel field
+// again, so change a channel's FlitTime or BufferDepth only before
+// compiling a route over it.
 func (e *Engine) NewRoute(chans []*Channel) *Route {
 	if len(chans) == 0 {
 		panic("wormhole: route with no channels")
@@ -319,7 +328,8 @@ func (e *Engine) NewRoute(chans []*Channel) *Route {
 	r.Channels = e.paths.take(len(chans))
 	copy(r.Channels, chans)
 	r.hops = e.hops.take(len(chans))
-	r.single = true
+	L := len(chans)
+	r.closed = true
 	for k, c := range chans {
 		if c.id >= len(e.channels) || e.channels[c.id] != c {
 			panic(fmt.Sprintf("wormhole: channel %s does not belong to this engine", c.Name))
@@ -328,9 +338,14 @@ func (e *Engine) NewRoute(chans []*Channel) *Route {
 			panic(fmt.Sprintf("wormhole: channel %s has buffer depth %d", c.Name, c.BufferDepth))
 		}
 		r.hops[k] = hop{s: c.FlitTime, b: c.BufferDepth, rel: c.id<<refBits | refRelease}
-		if k > 0 && c.BufferDepth != 1 {
-			r.single = false // B_0 never enters the recurrence
+		// B_0 never enters the recurrence, and s_{L−1} only through σ.
+		if k > 0 && (c.BufferDepth != 1 || k < L-1 && c.FlitTime < r.hops[k-1].s) {
+			r.closed = false
 		}
+	}
+	r.sigma = r.hops[L-1].s
+	if L > 1 {
+		r.sigma = max(r.hops[L-2].s, r.sigma)
 	}
 	return r
 }
@@ -417,10 +432,10 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 		e.K.After(ch.FlitTime, j.id<<refBits|refRequest)
 	}
 	switch {
-	case !j.onePass:
+	case !j.closedForm():
 		e.settle(j)
 	case last:
-		e.fillOnePass(j)
+		e.fillClosed(j)
 	}
 	if last {
 		// No event names the journey any more: give its id back.
@@ -433,20 +448,29 @@ func (e *Engine) grant(ch *Channel, j *Journey) {
 	}
 }
 
-// prepare sizes j's slabs for its route and message, reusing a recycled
-// journey's outright, and decides whether the schedule takes the
-// one-pass fill.
+// closedForm reports whether j's schedule takes the closed form: its
+// route qualifies, it has at least as many flits as channels, and no
+// Avail feeds it.
+func (j *Journey) closedForm() bool {
+	return j.Route.closed && j.Flits >= len(j.Route.hops) && j.Avail == nil
+}
+
+// prepare sizes j's slabs for its route, message and fill, reusing a
+// recycled journey's outright.
 func (j *Journey) prepare() {
 	L, M := len(j.Route.Channels), j.Flits
+	closed := j.closedForm()
 	n := L*M + M
+	if closed {
+		n = 2*M + L - 1
+	}
 	if cap(j.floats) < n {
 		j.floats = make([]float64, n)
 	}
 	j.floats = j.floats[:n]
 	j.Acquire = j.floats[:L:L]
-	j.exits = j.floats[L*M : n : n]
-	j.onePass = j.Route.single && M >= L
-	if !j.onePass {
+	j.exits = j.floats[n-M : n : n]
+	if !closed {
 		if cap(j.ints) < 2*L {
 			j.ints = make([]int, 2*L)
 		}
@@ -465,9 +489,9 @@ func (j *Journey) prepare() {
 // settle it — the one whose acquisition, made now, it waits on — so no
 // release is scheduled into the past, and releases go out in ascending
 // channel order: the event order does not depend on how the fill is
-// batched. It serves every journey that fillOnePass does not: a buffer
-// deeper than one flit after the first channel, or fewer flits than
-// channels, where cells settle before the last grant.
+// batched. It serves every journey the closed form does not: a deeper
+// buffer after the first channel or fewer flits than channels, where
+// cells settle before the last grant, a falling flit time, an Avail.
 func (e *Engine) settle(j *Journey) {
 	hops := j.Route.hops
 	L, M, a := len(hops), j.Flits, j.acquired
@@ -533,55 +557,26 @@ func (e *Engine) settle(j *Journey) {
 	}
 }
 
-// fillOnePass computes a one-pass journey's whole schedule at its last
-// grant: rows 1…M−1 in row-major order, with each exit, then the L
-// releases in ascending channel order — the cells, exits and calls that
-// settle makes at that grant, bit for bit. Behind a one-flit buffer the
-// link term d(fl−1, k) never binds before the last column: the buffer
-// term start(fl−1, k+1) is at least that cell's own arrival term, the
-// same float sum d(fl−1, k), and in row 0 the head requests channel k+1
-// at a_k + s_k and cannot be granted it earlier. With no Avail the
-// arrival at column 0 is 0, and no time is negative, so on a path of two
-// or more channels column 0 is the buffer term start(fl−1, 1) alone.
-// max is exact, so dropping a dominated term changes no bit.
-func (e *Engine) fillOnePass(j *Journey) {
+// fillClosed writes a closed-form journey's schedule at its last grant
+// (see the package comment): the diagonal times T[L…M+L−2] after the
+// acquisitions, each exit as its diagonal is reached, then the L releases
+// in ascending channel order — the times and calls settle makes at that
+// grant, bit for bit.
+func (e *Engine) fillClosed(j *Journey) {
 	hops := j.Route.hops
 	L, M := len(hops), j.Flits
-	start := j.floats[:L*M]
-	exits, avail := j.exits, j.Avail
-	last := hops[L-1].s
-	prev := start[:L] // row 0: the acquisition times
-	exits[0] = prev[L-1] + last
+	T := j.floats[:M+L-1]
+	diag, exits := T[L-1:], j.exits[:M] // diag[fl] = T[fl+L−1], flit fl's start on the last channel
+	sigma, last := j.Route.sigma, hops[L-1].s
+	t := diag[0]
+	exits[0] = t + last
 	for fl := 1; fl < M; fl++ {
-		row := start[fl*L : fl*L+L]
-		// in is the arrival: Avail[fl] at column 0, d(fl, k−1) after it.
-		var in float64
-		k := 0
-		if avail != nil {
-			in = avail[fl]
-		} else if L > 1 {
-			row[0] = prev[1]
-			in = prev[1] + hops[0].s
-			k = 1
-		}
-		for ; k < L-1; k++ {
-			st := prev[k+1]
-			if in > st {
-				st = in
-			}
-			row[k] = st
-			in = st + hops[k].s
-		}
-		st := prev[L-1] + last
-		if in > st {
-			st = in
-		}
-		row[L-1] = st
-		exits[fl] = st + last
-		prev = row
+		t += sigma
+		diag[fl] = t
+		exits[fl] = t + last
 	}
-	for k := range hops {
-		e.K.At(prev[k]+hops[k].s, hops[k].rel)
+	for k, h := range hops {
+		e.K.At(T[M-1+k]+h.s, h.rel)
 	}
 }
 
