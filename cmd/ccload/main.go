@@ -93,7 +93,6 @@ run flags:
   -url URL        drive a remote server instead of in-process
   -routed K       drive an in-process K-replica cluster behind ccrouter
                   instead of a single in-process server
-  -server-workers N  in-process server worker pool (default GOMAXPROCS)
   -out FILE       write the NDJSON artifact to FILE instead of stdout
   -dry-run        print the generated sequence and its SHA, send nothing
 
@@ -108,7 +107,6 @@ sweep flags:
   -url URL         drive a remote server (default: fresh in-process
                    server per cell)
   -routed K        drive a shared in-process K-replica routed cluster
-  -server-workers N  in-process server worker pool (default GOMAXPROCS)
   -out FILE        write the sweep report JSON to FILE
   -baseline FILE   compare against FILE; violations exit 1
   -min-rps-pct P   achieved rps must be ≥ P%% of baseline (default 60)
@@ -138,7 +136,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	think := fs.Duration("think", 0, "closed-loop mean think time")
 	url := fs.String("url", "", "remote server URL")
 	routed := fs.Int("routed", 0, "replicas behind an in-process router")
-	serverWorkers := fs.Int("server-workers", 0, "in-process server workers")
 	out := fs.String("out", "", "artifact file")
 	dryRun := fs.Bool("dry-run", false, "print the sequence, send nothing")
 	if err := fs.Parse(args); err != nil {
@@ -184,7 +181,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	target, targetName, cleanup, err := makeTarget(*url, *serverWorkers, *routed)
+	target, targetName, cleanup, err := makeTarget(*url, *routed)
 	if err != nil {
 		fmt.Fprintf(stderr, "ccload run: %v\n", err)
 		return 1
@@ -242,7 +239,6 @@ func sweepCmd(args []string, stdout, stderr io.Writer) int {
 	pool := fs.Int("pool", 64, "distinct specs per endpoint")
 	url := fs.String("url", "", "remote server URL")
 	routed := fs.Int("routed", 0, "replicas behind an in-process router")
-	serverWorkers := fs.Int("server-workers", 0, "in-process server workers")
 	out := fs.String("out", "", "report file")
 	baseline := fs.String("baseline", "", "baseline file to compare against")
 	minRPSPct := fs.Float64("min-rps-pct", 60, "achieved-rps floor, % of baseline")
@@ -286,7 +282,7 @@ func sweepCmd(args []string, stdout, stderr io.Writer) int {
 	// cluster); the in-process default gets a fresh server per cell so
 	// cache state cannot leak between cells.
 	newTarget := func() load.Target {
-		t, _, _, _ := makeTarget("", *serverWorkers, 0)
+		t, _, _, _ := makeTarget("", 0)
 		return t
 	}
 	switch {
@@ -294,7 +290,7 @@ func sweepCmd(args []string, stdout, stderr io.Writer) int {
 		shared := load.NewHTTPTarget(*url)
 		newTarget = func() load.Target { return shared }
 	case *routed > 0:
-		shared, _, cleanup, err := makeTarget("", *serverWorkers, *routed)
+		shared, _, cleanup, err := makeTarget("", *routed)
 		if err != nil {
 			fmt.Fprintf(stderr, "ccload sweep: %v\n", err)
 			return 1
@@ -371,7 +367,7 @@ func sweepCmd(args []string, stdout, stderr io.Writer) int {
 // (sample everything) so every response carries the Server-Timing
 // stage breakdown the artifact and summary report; a remote server
 // decides its own tracing via its -trace-* flags.
-func makeTarget(url string, serverWorkers, routed int) (load.Target, string, func(), error) {
+func makeTarget(url string, routed int) (load.Target, string, func(), error) {
 	if url != "" {
 		return load.NewHTTPTarget(url), url, nil, nil
 	}
@@ -379,7 +375,6 @@ func makeTarget(url string, serverWorkers, routed int) (load.Target, string, fun
 		c, err := routertest.Start(routertest.Config{
 			Replicas:      routed,
 			ProbeInterval: 250 * time.Millisecond,
-			Workers:       serverWorkers,
 			Trace:         true,
 		})
 		if err != nil {
@@ -388,8 +383,7 @@ func makeTarget(url string, serverWorkers, routed int) (load.Target, string, fun
 		return load.NewHTTPTarget(c.BaseURL()), fmt.Sprintf("routed:%d", routed), c.Close, nil
 	}
 	srv := service.New(service.Options{
-		Workers: serverWorkers,
-		Tracer:  reqtrace.New(reqtrace.Options{Component: "service"}),
+		Tracer: reqtrace.New(reqtrace.Options{Component: "service"}),
 	})
 	return load.HandlerTarget{Handler: srv.Handler()}, "in-process", nil, nil
 }

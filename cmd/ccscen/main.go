@@ -2,13 +2,14 @@
 // describe a heterogeneous cluster-of-clusters system, a traffic section,
 // the engines to run (analytical model, simulator, or both) and optional
 // assertions. A campaign of several scenarios — or one scenario's load
-// grid — fans out across a worker pool with deterministic per-job seeds,
-// so results are bit-identical for any -workers value.
+// grid — fans out over the process's one parallel loop (GOMAXPROCS
+// goroutines in all) with deterministic per-job seeds, so results are
+// bit-identical at any GOMAXPROCS.
 //
 // Verbs:
 //
 //	ccscen run [flags] <file.json|dir> [...]   run scenarios, print results
-//	ccscen batch [flags] <file.json|->         run a batch request, stream NDJSON
+//	ccscen batch <file.json|->                 run a batch request, stream NDJSON
 //	ccscen optimize [flags] <spec.json|->      search a design space for the
 //	                                           Pareto frontier
 //	ccscen perf [flags] <file.json|->          failure/repair performability
@@ -21,7 +22,7 @@
 // Examples:
 //
 //	ccscen run examples/scenarios/fig3.json
-//	ccscen run -workers 8 -quick -outdir results/ examples/scenarios
+//	ccscen run -quick -outdir results/ examples/scenarios
 //	ccscen batch batchfile.json
 //	ccscen batch - < batchfile.json
 //	ccscen optimize examples/scenarios/optimize/budget-cluster-mix.json
@@ -107,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   ccscen run [flags] <file.json|dir> [...]   run scenarios, print results
-  ccscen batch [flags] <file.json|->         run a batch request, stream NDJSON
+  ccscen batch <file.json|->                 run a batch request, stream NDJSON
   ccscen optimize [flags] <spec.json|->      search a design space for the
                                              Pareto frontier
   ccscen perf [flags] <file.json|->          failure/repair performability
@@ -120,47 +121,39 @@ func usage(w io.Writer) {
   ccscen list [dir]                          summarize a scenario directory
   ccscen -version                            print version and exit
 
+Every verb computes on GOMAXPROCS goroutines in all (the Go runtime's
+GOMAXPROCS environment variable sets it); results are identical at any
+value.
+
 run flags:
-  -workers N   worker goroutines (default GOMAXPROCS); results are
-               identical for every N
   -quick       reduced simulation message counts (fast, less precise)
   -outdir DIR  write one CSV per scenario into DIR
   -plot        render an ASCII chart of each scenario
 
-batch flags:
-  -workers N   worker goroutines sharding the batch (default GOMAXPROCS)
-
 optimize flags:
-  -workers N   worker goroutines evaluating candidates (default
-               GOMAXPROCS); the frontier is identical for every N
   -ndjson      stream NDJSON progress + frontier lines to stdout (the
                POST /v1/optimize wire format) instead of a table
   -out FILE    also write the full report JSON to FILE
 
 perf flags:
-  -workers N   worker goroutines evaluating availability states (default
-               GOMAXPROCS); the report is identical for every N
   -ndjson      stream NDJSON progress + result lines to stdout (the
                POST /v1/performability wire format) instead of a table
   -out FILE    also write the full report JSON to FILE
 
 fleet flags:
-  -workers N   worker goroutines evaluating trajectory states (default
-               GOMAXPROCS); the report is identical for every N
   -ndjson      stream NDJSON epoch + result lines to stdout (the
                POST /v1/fleetsim wire format) instead of a table
   -out FILE    also write the full report JSON to FILE
 `)
 }
 
-// batchCmd runs a POST /v1/batch request document offline: items are
-// sharded across the worker pool, results stream to stdout as NDJSON in
+// batchCmd runs a POST /v1/batch request document offline: items fan
+// out on the parallel loop, results stream to stdout as NDJSON in
 // item order (identical to the HTTP stream), and repeated specs within
 // the batch hit the same canonical-spec result cache the server uses.
 func batchCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccscen batch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	workers := fs.Int("workers", 0, "worker goroutines sharding the batch (default GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -189,7 +182,7 @@ func batchCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	srv := service.New(service.Options{Workers: *workers})
+	srv := service.New(service.Options{})
 	sum, err := srv.RunBatch(context.Background(), req.Items, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "ccscen:", err)
@@ -202,15 +195,14 @@ func batchCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// optimizeCmd runs a design-space search offline: candidates are
-// sharded across the worker pool, progress goes to stderr, and the
-// Pareto frontier prints as a table (or, with -ndjson, the whole run
-// streams to stdout in the POST /v1/optimize wire format). The frontier
-// is bit-identical for a given spec+seed at any -workers value.
+// optimizeCmd runs a design-space search offline: candidates fan out on
+// the parallel loop, progress goes to stderr, and the Pareto frontier
+// prints as a table (or, with -ndjson, the whole run streams to stdout
+// in the POST /v1/optimize wire format). The frontier is bit-identical
+// for a given spec+seed at any GOMAXPROCS.
 func optimizeCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccscen optimize", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	workers := fs.Int("workers", 0, "worker goroutines evaluating candidates (default GOMAXPROCS)")
 	ndjson := fs.Bool("ndjson", false, "stream NDJSON progress + frontier lines to stdout")
 	outFile := fs.String("out", "", "also write the full report JSON to this file")
 	if err := fs.Parse(args); err != nil {
@@ -230,12 +222,12 @@ func optimizeCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *ndjson {
-		_, code := streamNDJSON("optimize", body, *workers, *outFile, stdout, stderr)
+		_, code := streamNDJSON("optimize", body, *outFile, stdout, stderr)
 		return code
 	}
 
 	start := time.Now()
-	eng := &optimize.Engine{Workers: *workers, Progress: func(p optimize.Progress) {
+	eng := &optimize.Engine{Progress: func(p optimize.Progress) {
 		fmt.Fprintf(stderr, "optimize: %s %d/%d processed, %d feasible, frontier %d\n",
 			p.Method, p.Processed, p.SpaceSize, p.Feasible, p.FrontierSize)
 	}}
@@ -306,8 +298,8 @@ func loadDoc[T any](arg, kind string, parse func(io.Reader, string) (T, error)) 
 // /v1/<endpoint> does, streaming the NDJSON frames to stdout, and
 // returns the result payload after writing it to the -out file (the
 // notice goes to stderr: stdout must stay pure NDJSON).
-func streamNDJSON(endpoint string, body []byte, workers int, outFile string, stdout, stderr io.Writer) ([]byte, int) {
-	srv := service.New(service.Options{Workers: workers})
+func streamNDJSON(endpoint string, body []byte, outFile string, stdout, stderr io.Writer) ([]byte, int) {
+	srv := service.New(service.Options{})
 	payload, err := srv.Stream(context.Background(), endpoint, body, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "ccscen:", err)
@@ -336,15 +328,14 @@ func writeReportFile(path string, rep any, notice, stderr io.Writer) int {
 }
 
 // perfCmd runs a performability analysis offline: a scenario file with
-// a performability block is loaded, the availability states are sharded
-// across the worker pool, progress goes to stderr, and the report prints
-// as a table (or, with -ndjson, streams to stdout in the POST
+// a performability block is loaded, the availability states fan out on
+// the parallel loop, progress goes to stderr, and the report prints as a
+// table (or, with -ndjson, streams to stdout in the POST
 // /v1/performability wire format). The report is bit-identical for a
-// given spec+seed at any -workers value.
+// given spec+seed at any GOMAXPROCS.
 func perfCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccscen perf", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	workers := fs.Int("workers", 0, "worker goroutines evaluating availability states (default GOMAXPROCS)")
 	ndjson := fs.Bool("ndjson", false, "stream NDJSON progress + result lines to stdout")
 	outFile := fs.String("out", "", "also write the full report JSON to this file")
 	if err := fs.Parse(args); err != nil {
@@ -368,7 +359,7 @@ func perfCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *ndjson {
-		_, code := streamNDJSON("performability", body, *workers, *outFile, stdout, stderr)
+		_, code := streamNDJSON("performability", body, *outFile, stdout, stderr)
 		return code
 	}
 
@@ -378,7 +369,7 @@ func perfCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	start := time.Now()
-	eng := &perfab.Engine{Workers: *workers, Progress: func(p perfab.Progress) {
+	eng := &perfab.Engine{Progress: func(p perfab.Progress) {
 		fmt.Fprintf(stderr, "perf: %s %d/%d states evaluated, %d down\n",
 			p.Method, p.Evaluated, p.States, p.Down)
 	}}
@@ -433,16 +424,15 @@ func renderPerfReport(w io.Writer, rep *perfab.Report, elapsed time.Duration) {
 }
 
 // fleetCmd runs a time-domain fleet simulation offline: a scenario file
-// with a fleetsim block is loaded, the trajectory's unique states are
-// sharded across the worker pool, and the report prints as a table (or,
-// with -ndjson, streams to stdout in the POST /v1/fleetsim wire format).
-// The report is bit-identical for a given spec+seed at any -workers
-// value. Exit status 1 when any fleet assertion fails, so CI can gate on
+// with a fleetsim block is loaded, the trajectory's unique states fan
+// out on the parallel loop, and the report prints as a table (or, with
+// -ndjson, streams to stdout in the POST /v1/fleetsim wire format). The
+// report is bit-identical for a given spec+seed at any GOMAXPROCS. Exit
+// status 1 when any fleet assertion fails, so CI can gate on
 // recovery envelopes directly.
 func fleetCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccscen fleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	workers := fs.Int("workers", 0, "worker goroutines evaluating trajectory states (default GOMAXPROCS)")
 	ndjson := fs.Bool("ndjson", false, "stream NDJSON epoch + result lines to stdout")
 	outFile := fs.String("out", "", "also write the full report JSON to this file")
 	if err := fs.Parse(args); err != nil {
@@ -466,7 +456,7 @@ func fleetCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *ndjson {
-		payload, code := streamNDJSON("fleetsim", body, *workers, *outFile, stdout, stderr)
+		payload, code := streamNDJSON("fleetsim", body, *outFile, stdout, stderr)
 		if code != 0 {
 			return code
 		}
@@ -484,8 +474,7 @@ func fleetCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	start := time.Now()
-	eng := &fleetsim.Engine{Workers: *workers}
-	rep, err := eng.Run(context.Background(), study)
+	rep, err := (&fleetsim.Engine{}).Run(context.Background(), study)
 	if err != nil {
 		fmt.Fprintln(stderr, "ccscen:", err)
 		return 1
@@ -570,7 +559,6 @@ func renderFleetReport(w io.Writer, rep *fleetsim.Report, elapsed time.Duration)
 func runCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccscen run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	workers := fs.Int("workers", 0, "worker goroutines (default GOMAXPROCS)")
 	quick := fs.Bool("quick", false, "reduced simulation message counts (fast, less precise)")
 	outdir := fs.String("outdir", "", "write one CSV per scenario into this directory")
 	plot := fs.Bool("plot", false, "render an ASCII chart of each scenario")
@@ -598,7 +586,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	r := &scenario.Runner{Workers: *workers, Quick: *quick}
+	r := &scenario.Runner{Quick: *quick}
 	outcomes := r.Run(specs)
 
 	failures := 0

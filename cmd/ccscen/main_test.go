@@ -4,12 +4,20 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"github.com/ccnet/ccnet/internal/clitest"
 )
+
+// runAt runs the CLI at GOMAXPROCS procs, the size of its one parallel
+// loop.
+func runAt(procs int, args ...string) clitest.Result {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return clitest.Run(run, args...)
+}
 
 // TestRun exercises the CLI contract: -version exits 0, bad verbs and
 // bad flags exit 2 with usage text, and validate works against the
@@ -92,8 +100,8 @@ func TestListDirReportsBrokenFiles(t *testing.T) {
 	// Every shipped document lists, none of them broken.
 	got = clitest.Run(run, "list", "../../examples/scenarios")
 	lines = strings.Split(strings.TrimSpace(got.Stdout), "\n")
-	if got.Code != 0 || len(lines) != 29 || strings.Contains(got.Stdout, "INVALID") {
-		t.Fatalf("exit %d, %d lines, want 29 valid documents:\n%s", got.Code, len(lines), got.Stdout)
+	if got.Code != 0 || len(lines) != 32 || strings.Contains(got.Stdout, "INVALID") {
+		t.Fatalf("exit %d, %d lines, want 32 valid documents:\n%s", got.Code, len(lines), got.Stdout)
 	}
 }
 
@@ -110,8 +118,8 @@ const optimizeSpec = `{
 }`
 
 // TestOptimizeVerb runs a small search end to end: the frontier table
-// renders, -out writes the report, and repeated runs (any -workers) are
-// bit-identical.
+// renders, -out writes the report, and repeated runs (at GOMAXPROCS 1
+// and 4) are bit-identical.
 func TestOptimizeVerb(t *testing.T) {
 	dir := t.TempDir()
 	spec := filepath.Join(dir, "spec.json")
@@ -120,7 +128,7 @@ func TestOptimizeVerb(t *testing.T) {
 	}
 
 	out1 := filepath.Join(dir, "rep1.json")
-	got := clitest.Run(run, "optimize", "-workers", "1", "-out", out1, spec)
+	got := runAt(1, "optimize", "-out", out1, spec)
 	if got.Code != 0 {
 		t.Fatalf("exit %d: %s", got.Code, got.Stderr)
 	}
@@ -129,7 +137,7 @@ func TestOptimizeVerb(t *testing.T) {
 	}
 
 	out2 := filepath.Join(dir, "rep2.json")
-	got = clitest.Run(run, "optimize", "-workers", "4", "-out", out2, spec)
+	got = runAt(4, "optimize", "-out", out2, spec)
 	if got.Code != 0 {
 		t.Fatalf("exit %d: %s", got.Code, got.Stderr)
 	}
@@ -142,7 +150,7 @@ func TestOptimizeVerb(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(b1) != string(b2) {
-		t.Fatal("reports differ across -workers 1 and 4")
+		t.Fatal("reports differ across GOMAXPROCS 1 and 4")
 	}
 
 	// -ndjson speaks the POST /v1/optimize wire format; stdout must be
@@ -179,7 +187,7 @@ func TestBatchVerb(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := clitest.Run(run, "batch", "-workers", "1", path)
+	got := runAt(1, "batch", path)
 	if got.Code != 0 {
 		t.Fatalf("exit %d: %s", got.Code, got.Stderr)
 	}
@@ -266,7 +274,7 @@ const perfScenario = `{
 }`
 
 // TestPerfVerb runs a performability analysis end to end: the table
-// renders, -out writes the report, repeated runs at different -workers
+// renders, -out writes the report, repeated runs at GOMAXPROCS 1 and 8
 // are bit-identical, and -ndjson speaks the wire format.
 func TestPerfVerb(t *testing.T) {
 	dir := t.TempDir()
@@ -276,7 +284,7 @@ func TestPerfVerb(t *testing.T) {
 	}
 
 	out1 := filepath.Join(dir, "rep1.json")
-	got := clitest.Run(run, "perf", "-workers", "1", "-out", out1, spec)
+	got := runAt(1, "perf", "-out", out1, spec)
 	if got.Code != 0 {
 		t.Fatalf("exit %d: %s", got.Code, got.Stderr)
 	}
@@ -287,7 +295,7 @@ func TestPerfVerb(t *testing.T) {
 	}
 
 	out2 := filepath.Join(dir, "rep2.json")
-	got = clitest.Run(run, "perf", "-workers", "8", "-out", out2, spec)
+	got = runAt(8, "perf", "-out", out2, spec)
 	if got.Code != 0 {
 		t.Fatalf("exit %d: %s", got.Code, got.Stderr)
 	}
@@ -300,7 +308,7 @@ func TestPerfVerb(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(b1) != string(b2) {
-		t.Fatal("reports differ across -workers 1 and 8")
+		t.Fatal("reports differ across GOMAXPROCS 1 and 8")
 	}
 
 	got = clitest.Run(run, "perf", "-ndjson", spec)
@@ -351,7 +359,7 @@ const fleetScenario = `{
 }`
 
 // TestFleetVerb runs a fleet simulation end to end: the table renders,
-// -out writes the report, repeated runs at different -workers are
+// -out writes the report, repeated runs at GOMAXPROCS 1 and 8 are
 // bit-identical, -ndjson speaks the wire format, and failed assertions
 // map to exit status 1.
 func TestFleetVerb(t *testing.T) {
@@ -362,7 +370,7 @@ func TestFleetVerb(t *testing.T) {
 	}
 
 	out1 := filepath.Join(dir, "rep1.json")
-	got := clitest.Run(run, "fleet", "-workers", "1", "-out", out1, spec)
+	got := runAt(1, "fleet", "-out", out1, spec)
 	if got.Code != 0 {
 		t.Fatalf("exit %d: %s", got.Code, got.Stderr)
 	}
@@ -373,7 +381,7 @@ func TestFleetVerb(t *testing.T) {
 	}
 
 	out2 := filepath.Join(dir, "rep2.json")
-	got = clitest.Run(run, "fleet", "-workers", "8", "-out", out2, spec)
+	got = runAt(8, "fleet", "-out", out2, spec)
 	if got.Code != 0 {
 		t.Fatalf("exit %d: %s", got.Code, got.Stderr)
 	}
@@ -386,7 +394,7 @@ func TestFleetVerb(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(b1) != string(b2) {
-		t.Fatal("reports differ across -workers 1 and 8")
+		t.Fatal("reports differ across GOMAXPROCS 1 and 8")
 	}
 
 	got = clitest.Run(run, "fleet", "-ndjson", spec)

@@ -29,6 +29,11 @@
 // answer's key is the same with or without the router. An exact repeat
 // of an answered body is served by its body digest before decoding.
 //
+// Every request's computation (sweep points, campaign jobs, states,
+// candidates and batch items) fans out on one process-wide parallel
+// loop of GOMAXPROCS goroutines in all; the Go runtime's GOMAXPROCS
+// environment variable sizes it, and /v1/stats reports it as workers.
+//
 // Examples:
 //
 //	ccserved -addr :8080
@@ -71,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheEntries = fs.Int("cache-entries", 1024, "result cache capacity in entries")
 		cacheBytes   = fs.Int64("cache-bytes", 64<<20, "result cache capacity in bytes")
 		ttl          = fs.Duration("ttl", 15*time.Minute, "result cache entry lifetime (negative disables expiry)")
-		workers      = fs.Int("workers", 0, "goroutines bounding each request's fan-out: sweep, campaign, performability, fleetsim, optimize and batch items (default GOMAXPROCS)")
 		shardID      = fs.String("shard-id", "", "shard identity reported in X-Shard and /v1/version (set when running behind ccrouter)")
 		showVersion  = fs.Bool("version", false, "print version and exit")
 	)
@@ -107,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CacheEntries: *cacheEntries,
 		CacheBytes:   *cacheBytes,
 		CacheTTL:     *ttl,
-		Workers:      *workers,
 		ShardID:      *shardID,
 		Log:          stack.Log,
 		Tracer:       stack.Tracer,

@@ -4,7 +4,10 @@
 // Every parallel site calls it — λ sweeps, campaign simulation jobs,
 // performability and fleet states, optimizer candidates and annealing
 // chains, and /v1/batch items — so how work is spread over the CPUs is
-// decided in this one place.
+// decided in this one place: every goroutine a Run starts beyond its
+// first is a helper drawn from one process-wide budget of
+// GOMAXPROCS−1, so nested and concurrent fan-outs share the CPUs
+// instead of multiplying their goroutines.
 package batch
 
 import (
@@ -14,7 +17,7 @@ import (
 	"sync/atomic"
 )
 
-// Workers returns how many goroutines Run starts for n indices:
+// Workers returns the most goroutines Run starts for n indices:
 // workers, or GOMAXPROCS when workers <= 0, clamped to n. Callers size
 // per-goroutine scratch with it.
 func Workers(workers, n int) int {
@@ -24,10 +27,33 @@ func Workers(workers, n int) int {
 	return min(workers, n)
 }
 
+// helpers counts the goroutines all Runs hold beyond their first.
+var helpers atomic.Int64
+
+// takeHelpers takes up to want helpers from the budget, as many as are
+// free, without waiting. GOMAXPROCS is read on every call: it can
+// change while the process runs.
+func takeHelpers(want int) int {
+	limit := int64(runtime.GOMAXPROCS(0) - 1)
+	for {
+		held := helpers.Load()
+		got := min(int64(want), limit-held)
+		if got <= 0 {
+			return 0
+		}
+		if helpers.CompareAndSwap(held, held+got) {
+			return int(got)
+		}
+	}
+}
+
 // Run calls work(w, i) for every i in [0, n) on at most
-// Workers(workers, n) goroutines. w in [0, Workers(workers, n)) names
-// the goroutine: two calls with the same w never overlap, so w can
-// index per-goroutine scratch.
+// Workers(workers, n) goroutines: one, plus as many helpers as the
+// process-wide budget has free when Run starts, never waiting for one.
+// w in [0, Workers(workers, n)) names the goroutine: two calls with the
+// same w never overlap, so w can index per-goroutine scratch. work must
+// not wait on another index's work: with no helper free, every index
+// runs in turn on one goroutine.
 //
 // When done is non-nil, Run calls it on the caller's goroutine for
 // i = 0, 1, 2, …, each as soon as work has returned for every index up
@@ -39,7 +65,10 @@ func Workers(workers, n int) int {
 // It returns done's error, else ctx's cause once ctx is done, else nil.
 // With a single goroutine everything runs on the caller's goroutine.
 func Run(ctx context.Context, n, workers int, work func(w, i int), done func(i int) error) error {
-	nw := Workers(workers, n)
+	nw := 1
+	if want := Workers(workers, n) - 1; want > 0 {
+		nw += takeHelpers(want)
+	}
 	if nw <= 1 {
 		for i := 0; i < n && ctx.Err() == nil; i++ {
 			work(0, i)
@@ -85,9 +114,13 @@ type loop struct {
 }
 
 // run is goroutine w: it takes indices until they run out, ctx is done
-// or delivery has failed.
+// or delivery has failed. A helper (w >= 1) goes back to the budget
+// before wg.Done, so a Run that follows this one finds it free.
 func (l *loop) run(w int) {
 	defer l.wg.Done()
+	if w > 0 {
+		defer helpers.Add(-1)
+	}
 	for !l.stop.Load() && l.ctx.Err() == nil {
 		i := int(l.next.Add(1)) - 1
 		if i >= l.n {

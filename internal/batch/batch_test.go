@@ -11,11 +11,31 @@ import (
 	"time"
 )
 
+// setGOMAXPROCS sets GOMAXPROCS, and with it the helper budget, for
+// the rest of t.
+func setGOMAXPROCS(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// raise lifts peak to c if c is higher.
+func raise(peak *atomic.Int64, c int64) {
+	for {
+		p := peak.Load()
+		if c <= p || peak.CompareAndSwap(p, c) {
+			return
+		}
+	}
+}
+
 // TestRunEmitsInItemOrder proves deterministic delivery: work finishes
 // in reverse order (index 0 is gated until every later index has
-// completed), yet done sees 0, 1, 2, … regardless.
+// completed), yet done sees 0, 1, 2, … regardless. Index 0 waits on the
+// others, which the contract forbids work to do unless helpers are
+// free, so the test sets GOMAXPROCS to n.
 func TestRunEmitsInItemOrder(t *testing.T) {
 	const n = 8
+	setGOMAXPROCS(t, max(n, runtime.GOMAXPROCS(0)))
 	var completed atomic.Int64
 	release := make(chan struct{})
 	var got []int
@@ -84,13 +104,7 @@ func TestRunBoundsWorkers(t *testing.T) {
 		if w < 0 || w >= workers {
 			badW.Add(1)
 		}
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
+		raise(&peak, cur.Add(1))
 		time.Sleep(200 * time.Microsecond)
 		cur.Add(-1)
 	}, nil)
@@ -102,6 +116,33 @@ func TestRunBoundsWorkers(t *testing.T) {
 	}
 	if badW.Load() != 0 {
 		t.Fatalf("%d calls got a goroutine index outside [0, %d)", badW.Load(), workers)
+	}
+}
+
+// TestRunSharesOneBudget proves nested fan-outs draw on one budget: at
+// GOMAXPROCS 4 an outer Run over 8 indices, each running an inner Run
+// over 64 short sleeps, has at most 4 leaf calls in flight, where Runs
+// that each started GOMAXPROCS goroutines would have 16. Once it
+// returns, the whole budget is free again.
+func TestRunSharesOneBudget(t *testing.T) {
+	const procs = 4
+	setGOMAXPROCS(t, procs)
+	var cur, peak atomic.Int64
+	err := Run(context.Background(), 8, 0, func(_, _ int) {
+		_ = Run(context.Background(), 64, 0, func(_, _ int) {
+			raise(&peak, cur.Add(1))
+			time.Sleep(50 * time.Microsecond)
+			cur.Add(-1)
+		}, nil)
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > procs {
+		t.Fatalf("%d leaf calls in flight at GOMAXPROCS %d", p, procs)
+	}
+	if h := helpers.Load(); h != 0 {
+		t.Fatalf("%d helpers still held after Run returned", h)
 	}
 }
 
@@ -157,12 +198,7 @@ func TestRunEmitErrorStopsPool(t *testing.T) {
 			boom := errors.New("client gone")
 			err := Run(ctx, n, workers, func(_, i int) {
 				handedOut.Add(1)
-				for {
-					m := maxIndex.Load()
-					if int64(i) <= m || maxIndex.CompareAndSwap(m, int64(i)) {
-						break
-					}
-				}
+				raise(&maxIndex, int64(i))
 				if i > 1 {
 					<-ctx.Done()
 				}

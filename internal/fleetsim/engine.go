@@ -101,10 +101,9 @@ type Report struct {
 }
 
 // Engine runs fleet simulations. The zero value is usable.
+// States are evaluated on the parallel loop (internal/batch), and the
+// report is identical at any GOMAXPROCS.
 type Engine struct {
-	// Workers bounds concurrent state evaluations (<= 0: GOMAXPROCS).
-	// The report is identical for every worker count.
-	Workers int
 	// EpochReady, when set, receives each epoch's metrics as soon as
 	// every state occupying it has been evaluated (sequentially, in
 	// ascending index order — the NDJSON stream's emission path).
@@ -164,7 +163,7 @@ func (e *Engine) Run(ctx context.Context, st *Study) (*Report, error) {
 			emitted++
 		}
 	}
-	if err := batch.Run(ctx, len(tr.uniques), e.Workers, func(_, i int) {
+	if err := batch.Run(ctx, len(tr.uniques), 0, func(_, i int) {
 		u := &tr.uniques[i]
 		metrics[i] = eval.EvalState(u.failed, u.lambda)
 	}, func(int) error {

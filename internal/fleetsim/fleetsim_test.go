@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestLongRunConvergesToSteadyState(t *testing.T) {
 }
 
 // TestReportWorkerInvariant: identical spec+seed must marshal to
-// byte-identical reports at any worker count, and the EpochReady stream
+// byte-identical reports at any GOMAXPROCS, and the EpochReady stream
 // must deliver every epoch in ascending order with the same content.
 func TestReportWorkerInvariant(t *testing.T) {
 	mk := func() *Study {
@@ -92,9 +93,10 @@ func TestReportWorkerInvariant(t *testing.T) {
 			},
 		})
 	}
-	run := func(workers int) (*Report, []byte, []EpochMetrics) {
+	run := func(procs int) (*Report, []byte, []EpochMetrics) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var stream []EpochMetrics
-		eng := &Engine{Workers: workers, EpochReady: func(e EpochMetrics) { stream = append(stream, e) }}
+		eng := &Engine{EpochReady: func(e EpochMetrics) { stream = append(stream, e) }}
 		rep, err := eng.Run(context.Background(), mk())
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +117,7 @@ func TestReportWorkerInvariant(t *testing.T) {
 		}
 	}
 	if _, got, _ := run(8); string(got) != string(base) {
-		t.Fatal("report differs between workers=1 and workers=8")
+		t.Fatal("report differs between GOMAXPROCS=1 and GOMAXPROCS=8")
 	}
 }
 

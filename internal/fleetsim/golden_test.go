@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/ccnet/ccnet/internal/fleetsim"
@@ -16,8 +17,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // runExample loads one shipped fleetsim example and runs its study.
-func runExample(t *testing.T, name string, workers int) []byte {
+func runExample(t *testing.T, name string, procs int) []byte {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	spec, err := scenario.Load(filepath.Join("..", "..", "examples", "scenarios", "fleetsim", name))
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +28,7 @@ func runExample(t *testing.T, name string, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := (&fleetsim.Engine{Workers: workers}).Run(context.Background(), study)
+	rep, err := (&fleetsim.Engine{}).Run(context.Background(), study)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +42,14 @@ func runExample(t *testing.T, name string, workers int) []byte {
 // TestExamplesGolden pins both shipped example trajectories — the
 // scripted 1120-node cascade and the stochastic repair-crew study — to
 // golden report JSON and proves the acceptance property on real specs:
-// the report is byte-identical at 1 and 8 workers. Regenerate with
+// the report is byte-identical at GOMAXPROCS 1 and 8. Regenerate with
 // `go test -run Golden -update ./internal/fleetsim`.
 func TestExamplesGolden(t *testing.T) {
 	for _, name := range []string{"az-cascade-1120.json", "repair-crew-split.json"} {
 		t.Run(name, func(t *testing.T) {
 			got := runExample(t, name, 1)
 			if wide := runExample(t, name, 8); !bytes.Equal(got, wide) {
-				t.Fatal("report differs between workers=1 and workers=8")
+				t.Fatal("report differs between GOMAXPROCS=1 and GOMAXPROCS=8")
 			}
 
 			golden := filepath.Join("testdata", name+".golden")

@@ -131,7 +131,7 @@ func TestPercentile(t *testing.T) {
 
 func newServerTarget(t *testing.T) Target {
 	t.Helper()
-	return HandlerTarget{Handler: service.New(service.Options{Workers: 2}).Handler()}
+	return HandlerTarget{Handler: service.New(service.Options{}).Handler()}
 }
 
 // TestOpenLoopRun drives a small Poisson run against the real handler

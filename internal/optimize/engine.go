@@ -61,10 +61,9 @@ type Report struct {
 }
 
 // Engine runs design-space searches. The zero value is usable.
+// Candidates are evaluated on the parallel loop (internal/batch), and
+// the result is identical at any GOMAXPROCS.
 type Engine struct {
-	// Workers bounds concurrent candidate evaluations (<= 0: GOMAXPROCS).
-	// The result is identical for every worker count.
-	Workers int
 	// Progress, when set, receives incremental updates (sequentially,
 	// never concurrently).
 	Progress func(Progress)
@@ -251,9 +250,9 @@ func (st *searchState) emitProgress() {
 }
 
 // evalChunk spreads ids over the parallel loop and absorbs the results
-// in id-list order, so aggregation is deterministic at any worker
-// count. The chunk's result buffer and the per-goroutine scratches are
-// reused across waves.
+// in id-list order, so aggregation is deterministic at any GOMAXPROCS.
+// The chunk's result buffer and the per-goroutine scratches are reused
+// across waves.
 func (st *searchState) evalChunk(ctx context.Context, ids []uint64) error {
 	if len(ids) == 0 {
 		return nil
@@ -262,10 +261,10 @@ func (st *searchState) evalChunk(ctx context.Context, ids []uint64) error {
 		st.results = make([]candResult, len(ids))
 	}
 	results := st.results[:len(ids)]
-	for len(st.scratches) < batch.Workers(st.engine.Workers, len(ids)) {
+	for len(st.scratches) < batch.Workers(0, len(ids)) {
 		st.scratches = append(st.scratches, st.space.newScratch())
 	}
-	if err := batch.Run(ctx, len(ids), st.engine.Workers, func(w, i int) {
+	if err := batch.Run(ctx, len(ids), 0, func(w, i int) {
 		results[i] = st.space.evaluate(ids[i], st.scratches[w])
 	}, nil); err != nil {
 		return err
@@ -444,7 +443,7 @@ func (st *searchState) runAnneal(ctx context.Context) error {
 	base := rng.New(st.space.spec.seed(), annealSalt)
 
 	outs := make([][]candResult, chains)
-	return batch.Run(ctx, chains, st.engine.Workers, func(_, i int) {
+	return batch.Run(ctx, chains, 0, func(_, i int) {
 		outs[i] = st.space.annealChain(base.Derive(uint64(i)), steps)
 	}, func(i int) error {
 		for j := range outs[i] {

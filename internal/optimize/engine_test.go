@@ -3,16 +3,17 @@ package optimize
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// runJSON runs spec with the given worker count and returns the
-// marshaled report.
-func runJSON(t *testing.T, spec *SearchSpec, workers int) []byte {
+// runJSON runs spec at the given GOMAXPROCS and returns the marshaled
+// report.
+func runJSON(t *testing.T, spec *SearchSpec, procs int) []byte {
 	t.Helper()
-	eng := &Engine{Workers: workers}
-	rep, err := eng.Run(context.Background(), spec)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	rep, err := (&Engine{}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -102,15 +103,15 @@ func TestFrontierNonDominated(t *testing.T) {
 }
 
 // TestGridDeterminism: identical spec and seed yield byte-identical
-// reports across repeated runs and worker counts (the -cpu 1,4 story is
-// exercised by nightly CI; Workers is the in-process equivalent).
+// reports across repeated runs and GOMAXPROCS values (CI also runs the
+// package at -cpu 1,4).
 func TestGridDeterminism(t *testing.T) {
 	spec := mustParse(t, validSpecJSON)
 	base := runJSON(t, spec, 1)
-	for _, workers := range []int{1, 2, 4, 13} {
-		got := runJSON(t, spec, workers)
+	for _, procs := range []int{1, 2, 4, 13} {
+		got := runJSON(t, spec, procs)
 		if string(got) != string(base) {
-			t.Fatalf("report differs at workers=%d:\n%s\nvs\n%s", workers, got, base)
+			t.Fatalf("report differs at GOMAXPROCS=%d:\n%s\nvs\n%s", procs, got, base)
 		}
 	}
 }
@@ -130,9 +131,9 @@ func beamSpec(t *testing.T, method string, budget int) *SearchSpec {
 func TestBeamDeterminism(t *testing.T) {
 	spec := beamSpec(t, MethodBeam, 60)
 	base := runJSON(t, spec, 1)
-	for _, workers := range []int{2, 4} {
-		if got := runJSON(t, spec, workers); string(got) != string(base) {
-			t.Fatalf("beam report differs at workers=%d", workers)
+	for _, procs := range []int{2, 4} {
+		if got := runJSON(t, spec, procs); string(got) != string(base) {
+			t.Fatalf("beam report differs at GOMAXPROCS=%d", procs)
 		}
 	}
 	var rep Report
@@ -150,9 +151,9 @@ func TestBeamDeterminism(t *testing.T) {
 func TestAnnealDeterminism(t *testing.T) {
 	spec := beamSpec(t, MethodAnneal, 60)
 	base := runJSON(t, spec, 1)
-	for _, workers := range []int{2, 4} {
-		if got := runJSON(t, spec, workers); string(got) != string(base) {
-			t.Fatalf("anneal report differs at workers=%d", workers)
+	for _, procs := range []int{2, 4} {
+		if got := runJSON(t, spec, procs); string(got) != string(base) {
+			t.Fatalf("anneal report differs at GOMAXPROCS=%d", procs)
 		}
 	}
 	var rep Report
@@ -197,7 +198,7 @@ func TestHeuristicsFindGridOptimum(t *testing.T) {
 	}
 	for _, method := range []string{MethodBeam, MethodAnneal} {
 		spec := beamSpec(t, method, 400) // budget > canonical space
-		rep, err := (&Engine{Workers: 4}).Run(context.Background(), spec)
+		rep, err := (&Engine{}).Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -271,7 +272,7 @@ func TestConstraintsFilter(t *testing.T) {
 func TestProgressSequence(t *testing.T) {
 	spec := mustParse(t, validSpecJSON)
 	var seq []Progress
-	eng := &Engine{Workers: 4, ProgressEvery: 10, Progress: func(p Progress) { seq = append(seq, p) }}
+	eng := &Engine{ProgressEvery: 10, Progress: func(p Progress) { seq = append(seq, p) }}
 	rep, err := eng.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

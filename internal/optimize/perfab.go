@@ -111,7 +111,7 @@ func (sp *Space) evaluatePerf(id uint64, digits []int, sys *cluster.System, res 
 		Block:   block,
 		Seed:    rng.New(sp.spec.seed(), perfSeedSalt).Derive(id).Uint64(),
 	}
-	rep, err := (&perfab.Engine{Workers: 1}).Run(context.Background(), study)
+	rep, err := (&perfab.Engine{}).Run(context.Background(), study)
 	if err != nil {
 		res.reason = infAvailability
 		return false

@@ -3,6 +3,7 @@ package optimize
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestPerfWeightedSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := (&Engine{Workers: 2}).Run(context.Background(), spec)
+	rep, err := (&Engine{}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +65,16 @@ func TestPerfWeightedSearch(t *testing.T) {
 }
 
 // TestPerfWeightedSearchDeterministic: identical spec and seed yield a
-// byte-identical report at any worker count (the per-candidate sampler
+// byte-identical report at any GOMAXPROCS (the per-candidate sampler
 // seeds derive from the candidate id, not the schedule).
 func TestPerfWeightedSearchDeterministic(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		spec, err := Parse(strings.NewReader(perfSearchSpec), "test")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := (&Engine{Workers: workers}).Run(context.Background(), spec)
+		rep, err := (&Engine{}).Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,9 +85,9 @@ func TestPerfWeightedSearchDeterministic(t *testing.T) {
 		return b
 	}
 	base := run(1)
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); string(got) != string(base) {
-			t.Fatalf("report differs at workers=%d", workers)
+	for _, procs := range []int{2, 8} {
+		if got := run(procs); string(got) != string(base) {
+			t.Fatalf("report differs at GOMAXPROCS=%d", procs)
 		}
 	}
 }

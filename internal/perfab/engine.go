@@ -97,10 +97,9 @@ type Report struct {
 }
 
 // Engine runs performability analyses. The zero value is usable.
+// States are evaluated on the parallel loop (internal/batch), and the
+// report is identical at any GOMAXPROCS.
 type Engine struct {
-	// Workers bounds concurrent state evaluations (<= 0: GOMAXPROCS).
-	// The report is identical for every worker count.
-	Workers int
 	// Progress, when set, receives incremental updates (sequentially,
 	// never concurrently).
 	Progress func(Progress)
@@ -143,7 +142,7 @@ func (e *Engine) Run(ctx context.Context, st *Study) (*Report, error) {
 
 	agg := &aggregator{engine: e, method: method, spaceSize: size, states: len(states)}
 	results := make([]StateMetrics, len(states))
-	if err := batch.Run(ctx, len(states), e.Workers, func(_, i int) {
+	if err := batch.Run(ctx, len(states), 0, func(_, i int) {
 		results[i] = ev.evalState(states[i].failed, ev.probe)
 		results[i].Weight = states[i].weight
 	}, func(i int) error {

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/ccnet/ccnet/internal/perfab"
@@ -16,8 +17,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // runExample loads one shipped perfab example and runs its study.
-func runExample(t *testing.T, name string, workers int) []byte {
+func runExample(t *testing.T, name string, procs int) []byte {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	spec, err := scenario.Load(filepath.Join("..", "..", "examples", "scenarios", "perfab", name))
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +28,7 @@ func runExample(t *testing.T, name string, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := (&perfab.Engine{Workers: workers}).Run(context.Background(), study)
+	rep, err := (&perfab.Engine{}).Run(context.Background(), study)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +41,14 @@ func runExample(t *testing.T, name string, workers int) []byte {
 
 // TestExamplesGolden pins both shipped example studies to golden report
 // JSON and proves the acceptance property on real specs: the report is
-// byte-identical at 1 and 8 workers. Regenerate with
+// byte-identical at GOMAXPROCS 1 and 8. Regenerate with
 // `go test -run Golden -update ./internal/perfab`.
 func TestExamplesGolden(t *testing.T) {
 	for _, name := range []string{"hetero-node-failures.json", "icn2-upgrade-expected.json"} {
 		t.Run(name, func(t *testing.T) {
 			got := runExample(t, name, 1)
 			if wide := runExample(t, name, 8); !bytes.Equal(got, wide) {
-				t.Fatal("report differs between workers=1 and workers=8")
+				t.Fatal("report differs between GOMAXPROCS=1 and GOMAXPROCS=8")
 			}
 
 			golden := filepath.Join("testdata", name+".golden")

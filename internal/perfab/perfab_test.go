@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/ccnet/ccnet/internal/cluster"
@@ -303,7 +304,7 @@ func TestExactVsSampledAgree(t *testing.T) {
 
 // TestEngineDeterministicAcrossWorkers is the second acceptance
 // criterion: a run over >= 1000 availability states must be
-// byte-identical at 1 and 8 workers.
+// byte-identical at GOMAXPROCS 1 and 8.
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	// 17 × 9 × 9 = 1377 exact states: past the 1000-state acceptance
 	// floor, cheap enough to evaluate three times.
@@ -317,8 +318,9 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		},
 		States: StatesSpec{MaxExact: 2000},
 	}
-	run := func(workers int) ([]byte, *Report) {
-		rep, err := (&Engine{Workers: workers}).Run(context.Background(), smallStudy(block))
+	run := func(procs int) ([]byte, *Report) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, err := (&Engine{}).Run(context.Background(), smallStudy(block))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,16 +334,17 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	if rep.StatesEvaluated < 1000 {
 		t.Fatalf("only %d states evaluated; the acceptance criterion needs >= 1000", rep.StatesEvaluated)
 	}
-	for _, workers := range []int{2, 8} {
-		if got, _ := run(workers); string(got) != string(base) {
-			t.Fatalf("report differs between workers=1 and workers=%d", workers)
+	for _, procs := range []int{2, 8} {
+		if got, _ := run(procs); string(got) != string(base) {
+			t.Fatalf("report differs between GOMAXPROCS=1 and GOMAXPROCS=%d", procs)
 		}
 	}
-	// The sampled path must be worker-invariant too.
+	// The sampled path must be GOMAXPROCS-invariant too.
 	sblock := failureBlock()
 	sblock.States = StatesSpec{MaxExact: 1, Samples: 1500}
-	runS := func(workers int) []byte {
-		rep, err := (&Engine{Workers: workers}).Run(context.Background(), smallStudy(sblock))
+	runS := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, err := (&Engine{}).Run(context.Background(), smallStudy(sblock))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +356,7 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	}
 	sbase := runS(1)
 	if got := runS(8); string(got) != string(sbase) {
-		t.Fatal("sampled report differs between workers=1 and workers=8")
+		t.Fatal("sampled report differs between GOMAXPROCS=1 and GOMAXPROCS=8")
 	}
 }
 

@@ -37,9 +37,6 @@ type Config struct {
 	MaxRetries int
 	// RetryBackoff passes through to the router (zero means default).
 	RetryBackoff time.Duration
-	// Workers bounds each replica's sweep/campaign parallelism (zero
-	// means the service default, GOMAXPROCS).
-	Workers int
 	// NewHandler, when set, replaces the real service handler for every
 	// replica — failure-mode tests use it to build replicas with
 	// scripted behavior. The function is called again on Restart.
@@ -148,7 +145,6 @@ func (c *Cluster) startMember(m *member, ln net.Listener) {
 		m.srv = &http.Server{Handler: c.cfg.NewHandler(m.id)}
 	} else {
 		m.svc = service.New(service.Options{
-			Workers: c.cfg.Workers,
 			ShardID: m.id,
 			Tracer:  c.cfg.tracerFor(m.id),
 		})

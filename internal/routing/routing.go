@@ -198,23 +198,3 @@ type ChannelKey struct {
 
 // Key returns the directed-channel identity of a hop.
 func (h Hop) Key() ChannelKey { return ChannelKey{Kind: h.Kind, From: h.From, To: h.To} }
-
-// LinkLoads routes every ordered (src,dst) pair in t and counts how many
-// routes cross each directed channel. Intended for balance analysis and
-// tests on small trees (O(N²·n) routes).
-func LinkLoads(t *topology.Tree) map[ChannelKey]int {
-	loads := make(map[ChannelKey]int)
-	var path []Hop
-	for s := 0; s < t.Nodes(); s++ {
-		for d := 0; d < t.Nodes(); d++ {
-			if s == d {
-				continue
-			}
-			path = Route(path[:0], t, s, d)
-			for _, hop := range path {
-				loads[hop.Key()]++
-			}
-		}
-	}
-	return loads
-}

@@ -8,6 +8,26 @@ import (
 	"github.com/ccnet/ccnet/internal/topology"
 )
 
+// LinkLoads routes every ordered (src,dst) pair in t and counts how many
+// routes cross each directed channel. The balance tests run it on small
+// trees (O(N²·n) routes).
+func LinkLoads(t *topology.Tree) map[ChannelKey]int {
+	loads := make(map[ChannelKey]int)
+	var path []Hop
+	for s := 0; s < t.Nodes(); s++ {
+		for d := 0; d < t.Nodes(); d++ {
+			if s == d {
+				continue
+			}
+			path = Route(path[:0], t, s, d)
+			for _, hop := range path {
+				loads[hop.Key()]++
+			}
+		}
+	}
+	return loads
+}
+
 func mustTree(t *testing.T, m, n int) *topology.Tree {
 	t.Helper()
 	tree, err := topology.New(m, n)

@@ -18,11 +18,12 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // paperCampaigns lists the shipped reproductions of the paper's
-// evaluation section other than fig3 (pinned by TestFig3GoldenCSV): each
-// validation figure is one file (examples/scenarios/<id>.json), each
-// other experiment one directory holding a file per curve
+// evaluation section other than fig3 (pinned by TestFig3GoldenCSV), and
+// the cluster-size skew study built on its model: each validation
+// figure is one file (examples/scenarios/<id>.json), each other
+// experiment one directory holding a file per curve
 // (examples/scenarios/<id>/).
-var paperCampaigns = []string{"fig4", "fig5", "fig6", "fig7", "ablation", "nonuniform", "bufferdepth"}
+var paperCampaigns = []string{"fig4", "fig5", "fig6", "fig7", "ablation", "nonuniform", "bufferdepth", "heterogeneity"}
 
 // runCampaign loads a shipped paper campaign by id, applies edit (which
 // may be nil) to each of its specs and runs them through the Runner.

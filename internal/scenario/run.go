@@ -17,15 +17,13 @@ import (
 	"github.com/ccnet/ccnet/internal/traffic"
 )
 
-// Runner executes scenario campaigns. The zero value runs with
-// GOMAXPROCS workers at the spec's full message counts.
+// Runner executes scenario campaigns. The zero value runs at the spec's
+// full message counts. Analytical sweeps and simulation jobs fan out on
+// the parallel loop (internal/batch), and results are bit-identical at
+// any GOMAXPROCS: every simulation job derives its seed from the
+// scenario seed, the scenario name and the job's grid position, never
+// from scheduling order.
 type Runner struct {
-	// Workers bounds the goroutines evaluating the campaign (analytical
-	// sweeps and simulation jobs); <= 0 means GOMAXPROCS. Results are
-	// bit-identical for any worker count: every simulation job derives
-	// its seed from the scenario seed, the scenario name and the job's
-	// grid position, never from scheduling order.
-	Workers int
 	// Quick replaces the simulation message counts with 2000 warm-up /
 	// 15000 measured, for fast smoke runs of simulation-heavy campaigns.
 	Quick bool
@@ -120,7 +118,7 @@ func (r *Runner) Run(specs []*Spec) []*Outcome {
 	// Run fails only through its context or done, and neither can end
 	// here: a campaign is not cancellable yet.
 	errs := make([]error, len(jobs))
-	_ = batch.Run(context.TODO(), len(jobs), r.Workers, func(_, i int) {
+	_ = batch.Run(context.TODO(), len(jobs), 0, func(_, i int) {
 		errs[i] = jobs[i].run(r.simCounts(jobs[i].p.spec))
 	}, nil)
 	for i, err := range errs {
@@ -195,10 +193,10 @@ func (r *Runner) prepare(s *Spec) (*prepared, error) {
 		series := Series{Label: fmt.Sprintf("Lm=%d", dm)}
 		var analysis, sf []*core.Result
 		if s.Engines.analysisOn() {
-			analysis = p.paper[si].SweepParallel(p.grid, r.Workers)
+			analysis = p.paper[si].SweepParallel(p.grid, 0)
 		}
 		if s.Engines.analysisSFOn() {
-			sf = p.sf[si].SweepParallel(p.grid, r.Workers)
+			sf = p.sf[si].SweepParallel(p.grid, 0)
 		}
 		for gi, l := range p.grid {
 			pt := Point{Lambda: l, Analysis: math.NaN(),

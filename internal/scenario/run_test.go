@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,23 +43,26 @@ func campaignSpecs(t *testing.T) []*scenario.Spec {
 
 // TestCampaignDeterministicAcrossWorkers is the campaign contract: for a
 // fixed seed the full result — simulation means, confidence intervals,
-// event counts — is bit-identical no matter how many workers drain the
-// job pool.
+// event counts — is bit-identical at any GOMAXPROCS, however many
+// goroutines drain the job loop.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
+	run := func(procs int) []*scenario.Outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return (&scenario.Runner{}).Run(campaignSpecs(t))
+	}
 	var baseline []*scenario.Outcome
-	for _, workers := range []int{1, 3, 8} {
-		r := &scenario.Runner{Workers: workers}
-		outcomes := r.Run(campaignSpecs(t))
+	for _, procs := range []int{1, 3, 8} {
+		outcomes := run(procs)
 		if len(outcomes) != 2 {
-			t.Fatalf("workers=%d: %d outcomes, want 2", workers, len(outcomes))
+			t.Fatalf("GOMAXPROCS=%d: %d outcomes, want 2", procs, len(outcomes))
 		}
 		for _, o := range outcomes {
 			if o.Err != nil {
-				t.Fatalf("workers=%d: scenario %s: %v", workers, o.Spec.Name, o.Err)
+				t.Fatalf("GOMAXPROCS=%d: scenario %s: %v", procs, o.Spec.Name, o.Err)
 			}
 			if !o.Passed() {
-				t.Fatalf("workers=%d: scenario %s failed assertions: %+v",
-					workers, o.Spec.Name, o.Assertions)
+				t.Fatalf("GOMAXPROCS=%d: scenario %s failed assertions: %+v",
+					procs, o.Spec.Name, o.Assertions)
 			}
 		}
 		if baseline == nil {
@@ -67,8 +71,8 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 		}
 		for i, o := range outcomes {
 			if !reflect.DeepEqual(o.Result, baseline[i].Result) {
-				t.Errorf("workers=%d: scenario %s result differs from workers=1:\n got %+v\nwant %+v",
-					workers, o.Spec.Name, o.Result, baseline[i].Result)
+				t.Errorf("GOMAXPROCS=%d: scenario %s result differs from GOMAXPROCS=1:\n got %+v\nwant %+v",
+					procs, o.Spec.Name, o.Result, baseline[i].Result)
 			}
 		}
 	}
@@ -82,8 +86,8 @@ func TestCampaignSeedChangesResults(t *testing.T) {
 	for _, s := range reseeded {
 		s.Seed = 99
 	}
-	a := (&scenario.Runner{Workers: 4}).Run(specs)
-	b := (&scenario.Runner{Workers: 4}).Run(reseeded)
+	a := (&scenario.Runner{}).Run(specs)
+	b := (&scenario.Runner{}).Run(reseeded)
 	if reflect.DeepEqual(a[0].Result, b[0].Result) {
 		t.Error("different seeds produced identical simulation results")
 	}
@@ -109,7 +113,7 @@ func TestCampaignDistinctScenarioStreams(t *testing.T) {
 		}
 		specs = append(specs, s)
 	}
-	outcomes := (&scenario.Runner{Workers: 2}).Run(specs)
+	outcomes := (&scenario.Runner{}).Run(specs)
 	a := outcomes[0].Result.Series[0].Points[0]
 	b := outcomes[1].Result.Series[0].Points[0]
 	if a.Simulation == b.Simulation {
@@ -120,8 +124,8 @@ func TestCampaignDistinctScenarioStreams(t *testing.T) {
 // TestRunnerQuick checks that Quick swaps in the reduced message counts
 // (visible through the event counters).
 func TestRunnerQuick(t *testing.T) {
-	full := (&scenario.Runner{Workers: 2}).Run(campaignSpecs(t))
-	quick := (&scenario.Runner{Workers: 2, Quick: true}).Run(campaignSpecs(t))
+	full := (&scenario.Runner{}).Run(campaignSpecs(t))
+	quick := (&scenario.Runner{Quick: true}).Run(campaignSpecs(t))
 	if full[0].Err != nil || quick[0].Err != nil {
 		t.Fatalf("errs: %v, %v", full[0].Err, quick[0].Err)
 	}
@@ -149,7 +153,7 @@ func TestAssertionFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcomes := (&scenario.Runner{Workers: 1}).Run([]*scenario.Spec{s})
+	outcomes := (&scenario.Runner{}).Run([]*scenario.Spec{s})
 	o := outcomes[0]
 	if o.Err != nil {
 		t.Fatal(o.Err)
@@ -182,7 +186,7 @@ func TestAutoGridMinPastDerivedMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := (&scenario.Runner{Workers: 1}).Run([]*scenario.Spec{s})[0]
+	o := (&scenario.Runner{}).Run([]*scenario.Spec{s})[0]
 	if o.Err == nil || !strings.Contains(o.Err.Error(), "traffic.lambda.min") {
 		t.Fatalf("Err = %v, want a traffic.lambda.min field error", o.Err)
 	}
@@ -202,7 +206,7 @@ func TestAnalysisOnlyColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := (&scenario.Runner{Workers: 1}).Run([]*scenario.Spec{s})[0]
+	o := (&scenario.Runner{}).Run([]*scenario.Spec{s})[0]
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}

@@ -109,7 +109,7 @@ func delta(a, b [13]uint64) (d [13]uint64) {
 func TestAliasHitEqualsFullPath(t *testing.T) {
 	for _, tc := range repeatCases {
 		t.Run(tc.endpoint, func(t *testing.T) {
-			srv := New(Options{Workers: 2})
+			srv := New(Options{})
 			h := srv.Handler()
 			first := post(h, tc.endpoint, tc.body, "")
 			if first.Code != http.StatusOK || terminal(t, first).Cached {
@@ -146,7 +146,7 @@ func TestAliasHitEqualsFullPath(t *testing.T) {
 func TestInvalidBodyNeverAliased(t *testing.T) {
 	for _, tc := range repeatCases {
 		t.Run(tc.endpoint, func(t *testing.T) {
-			srv := New(Options{Workers: 2})
+			srv := New(Options{})
 			h := srv.Handler()
 			a := post(h, tc.endpoint, tc.invalid, "same-id")
 			b := post(h, tc.endpoint, tc.invalid, "same-id")
@@ -166,7 +166,7 @@ func TestInvalidBodyNeverAliased(t *testing.T) {
 func TestAliasDiesWithEntry(t *testing.T) {
 	for _, tc := range repeatCases {
 		t.Run(tc.endpoint+"/evicted", func(t *testing.T) {
-			srv := New(Options{Workers: 2, CacheEntries: 1})
+			srv := New(Options{CacheEntries: 1})
 			h := srv.Handler()
 			post(h, tc.endpoint, tc.body, "")
 			if rec := post(h, "evaluate", evictor, ""); rec.Code != http.StatusOK {
@@ -182,7 +182,7 @@ func TestAliasDiesWithEntry(t *testing.T) {
 			}
 		})
 		t.Run(tc.endpoint+"/expired", func(t *testing.T) {
-			srv := New(Options{Workers: 2, CacheTTL: time.Minute})
+			srv := New(Options{CacheTTL: time.Minute})
 			now := time.Unix(1000, 0)
 			srv.cache.now = func() time.Time { return now }
 			h := srv.Handler()
@@ -207,7 +207,7 @@ func TestAliasDiesWithEntry(t *testing.T) {
 func TestConcurrentRepeats(t *testing.T) {
 	for _, tc := range repeatCases {
 		t.Run(tc.endpoint, func(t *testing.T) {
-			srv := New(Options{Workers: 2})
+			srv := New(Options{})
 			h := srv.Handler()
 			const n = 8
 			recs := make([]*httptest.ResponseRecorder, n)
@@ -243,7 +243,7 @@ type countingRequest struct {
 
 func (r *countingRequest) key() (canon.Key, error) { return r.k, nil }
 
-func (r *countingRequest) compute(context.Context, int, func(any)) (any, error) {
+func (r *countingRequest) compute(context.Context, func(any)) (any, error) {
 	r.computed++
 	return r.computed, nil
 }
@@ -357,9 +357,9 @@ func TestCampaignSeedsBeyondFloatPrecision(t *testing.T) {
 			"engines": {"simulation": true, "warmup": 100, "measure": 1000}}`, seed)
 	}
 	const lo, hi = uint64(1) << 53, uint64(1)<<53 + 1
-	h := New(Options{Workers: 2}).Handler()
+	h := New(Options{}).Handler()
 	a, b := post(h, "campaign", body(lo), ""), post(h, "campaign", body(hi), "")
-	fresh := post(New(Options{Workers: 2}).Handler(), "campaign", body(hi), "")
+	fresh := post(New(Options{}).Handler(), "campaign", body(hi), "")
 	for _, rec := range []*httptest.ResponseRecorder{a, b, fresh} {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("campaign: %d %s", rec.Code, rec.Body)

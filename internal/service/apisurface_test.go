@@ -160,7 +160,7 @@ type frameProbe struct {
 // terminal line is a result (or error) frame, and progress never
 // follows the terminal frame.
 func TestUnifiedFrameSchema(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	h := srv.Handler()
 	cases := []struct {
 		name, path, body string
@@ -221,7 +221,7 @@ func TestUnifiedFrameSchema(t *testing.T) {
 // same APIError envelope, request ID included. A pre-cancelled context
 // kills the search deterministically after the stream has opened.
 func TestStreamErrorFrameIsAPIError(t *testing.T) {
-	srv := New(Options{Workers: 1})
+	srv := New(Options{})
 	body := []byte(`{"name": "frame-err", "space": {"ports": [4], "groups": [{"counts": [4], "treeLevels": [1]}]}, "message": {"flits": 16, "flitBytes": 128}}`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -135,7 +135,7 @@ func (s *Server) RunBatch(ctx context.Context, items []BatchItem, w io.Writer) (
 	defer cancel(nil)
 	outcomes := make([]batchOutcome, len(items))
 	sum := BatchSummary{Items: len(items)}
-	err := batch.Run(ctx, len(items), s.workers(), func(_, i int) {
+	err := batch.Run(ctx, len(items), 0, func(_, i int) {
 		s.m.busyWorkers.Add(1)
 		defer s.m.busyWorkers.Add(-1)
 		t0 := time.Now()

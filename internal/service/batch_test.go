@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -75,7 +76,7 @@ func readLines(t *testing.T, body string) (results []BatchItemLine, summary *Bat
 // batch through the real executor and checks ordering, identity and the
 // summary accounting.
 func TestBatchMixedKindsInOrder(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(smallBatch)))
 	if rec.Code != http.StatusOK {
@@ -126,7 +127,7 @@ func TestBatchMixedKindsInOrder(t *testing.T) {
 // TestBatchRepeatHitsCache proves a repeated batch answers every item
 // from the canonical-spec cache.
 func TestBatchRepeatHitsCache(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	h := srv.Handler()
 	for round := 0; round < 2; round++ {
 		rec := httptest.NewRecorder()
@@ -207,7 +208,7 @@ func TestBatchItemErrorsDoNotAbort(t *testing.T) {
 // out of the cache accounting: the hit rate covers the successful items
 // only.
 func TestBatchItemErrorsAreCounted(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	srv.exec = func(_ context.Context, i int, _ BatchItem) batchOutcome {
 		if i%3 == 0 {
 			return batchOutcome{err: invalidSpec(fmt.Errorf("item %d bad", i))}
@@ -306,7 +307,7 @@ func TestBatchEmptyStreamsSummary(t *testing.T) {
 // client having read the first line, so the test cannot pass unless the
 // server flushes results incrementally.
 func TestBatchHTTPStreamsIncrementally(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	firstLineRead := make(chan struct{})
 	lastFinished := make(chan struct{})
 	srv.exec = func(ctx context.Context, i int, it BatchItem) batchOutcome {
@@ -360,7 +361,7 @@ func TestBatchHTTPStreamsIncrementally(t *testing.T) {
 // TestBatchClientDisconnectCancelsWork proves a dropped streaming client
 // stops in-flight work via the request context.
 func TestBatchClientDisconnectCancelsWork(t *testing.T) {
-	srv := New(Options{Workers: 1})
+	srv := New(Options{})
 	sawCancel := make(chan struct{})
 	srv.exec = func(ctx context.Context, i int, it BatchItem) batchOutcome {
 		if i == 1 {
@@ -402,8 +403,8 @@ func TestBatchClientDisconnectCancelsWork(t *testing.T) {
 // until it sees the batch's own cancel, which only the failed write of
 // line 1 can send. Without it RunBatch would wait on them for ever.
 func TestBatchWriteFailureCancelsInFlightWork(t *testing.T) {
-	const workers = 4
-	srv := New(Options{Workers: workers})
+	procs := int64(runtime.GOMAXPROCS(0))
+	srv := New(Options{})
 	var started atomic.Int64
 	srv.exec = func(ctx context.Context, i int, _ BatchItem) batchOutcome {
 		started.Add(1)
@@ -438,8 +439,9 @@ func TestBatchWriteFailureCancelsInFlightWork(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("RunBatch still waits on in-flight items after a failed write")
 	}
-	// Indices 0 and 1, plus at most one blocked item per goroutine.
-	if s := started.Load(); s > 2+workers {
-		t.Fatalf("%d items started, want at most %d", s, 2+workers)
+	// Indices 0 and 1, plus at most one blocked item per goroutine: the
+	// loop has at most GOMAXPROCS.
+	if s := started.Load(); s > 2+procs {
+		t.Fatalf("%d items started at GOMAXPROCS %d, want at most %d", s, procs, 2+procs)
 	}
 }

@@ -40,7 +40,7 @@ type endpoint struct {
 // streaming row reports progress lines through emit.
 type request interface {
 	key() (canon.Key, error)
-	compute(ctx context.Context, workers int, emit func(line any)) (any, error)
+	compute(ctx context.Context, emit func(line any)) (any, error)
 }
 
 var endpoints = [...]endpoint{
@@ -116,7 +116,7 @@ func (r *evaluateRequest) key() (canon.Key, error) {
 	return canon.Hash("evaluate", hashableSystem(r.sys), r.msg, r.opt, r.Lambda)
 }
 
-func (r *evaluateRequest) compute(context.Context, int, func(any)) (any, error) {
+func (r *evaluateRequest) compute(context.Context, func(any)) (any, error) {
 	m, err := core.New(r.sys, r.msg, r.opt)
 	if err != nil {
 		return nil, err
@@ -178,7 +178,7 @@ func (r *sweepRequest) key() (canon.Key, error) {
 	return canon.Hash("sweep", hashableSystem(r.sys), r.msg, r.opt, r.grid)
 }
 
-func (r *sweepRequest) compute(_ context.Context, workers int, _ func(any)) (any, error) {
+func (r *sweepRequest) compute(context.Context, func(any)) (any, error) {
 	grid := r.grid
 	var models []*core.Model
 	if grid == nil { // auto grid: materialize from the paper model
@@ -204,7 +204,7 @@ func (r *sweepRequest) compute(_ context.Context, workers int, _ func(any)) (any
 		System:          systemInfo(r.sys),
 		SaturationPoint: m.SaturationPoint(1.0, 1e-4),
 	}
-	for _, res := range m.SweepParallel(grid, workers) {
+	for _, res := range m.SweepParallel(grid, 0) {
 		out.Points = append(out.Points, pointJSON(res))
 	}
 	return out, nil
@@ -235,9 +235,8 @@ func parseCampaign(body []byte, doc string) (request, error) {
 
 func (r *campaignRequest) key() (canon.Key, error) { return specKey("campaign", r.spec) }
 
-func (r *campaignRequest) compute(_ context.Context, workers int, _ func(any)) (any, error) {
-	runner := &scenario.Runner{Workers: workers}
-	o := runner.Run([]*scenario.Spec{r.spec})[0]
+func (r *campaignRequest) compute(context.Context, func(any)) (any, error) {
+	o := (&scenario.Runner{}).Run([]*scenario.Spec{r.spec})[0]
 	if o.Err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", r.spec.Name, o.Err)
 	}
@@ -292,9 +291,8 @@ func parsePerformability(body []byte, doc string) (request, error) {
 
 func (r *perfabRequest) key() (canon.Key, error) { return specKey("performability", r.spec) }
 
-func (r *perfabRequest) compute(ctx context.Context, workers int, emit func(any)) (any, error) {
+func (r *perfabRequest) compute(ctx context.Context, emit func(any)) (any, error) {
 	eng := &perfab.Engine{
-		Workers:  workers,
 		Progress: func(p perfab.Progress) { emit(PerfProgressLine{Kind: FrameProgress, Progress: p}) },
 	}
 	return eng.Run(ctx, r.study)
@@ -319,9 +317,8 @@ func parseFleetSim(body []byte, doc string) (request, error) {
 
 func (r *fleetsimRequest) key() (canon.Key, error) { return specKey("fleetsim", r.spec) }
 
-func (r *fleetsimRequest) compute(ctx context.Context, workers int, emit func(any)) (any, error) {
+func (r *fleetsimRequest) compute(ctx context.Context, emit func(any)) (any, error) {
 	eng := &fleetsim.Engine{
-		Workers:    workers,
 		EpochReady: func(em fleetsim.EpochMetrics) { emit(FleetEpochLine{Kind: FrameProgress, EpochMetrics: em}) },
 	}
 	return eng.Run(ctx, r.study)
@@ -349,9 +346,8 @@ func (r *optimizeRequest) key() (canon.Key, error) {
 	return canon.Hash("optimize", norm)
 }
 
-func (r *optimizeRequest) compute(ctx context.Context, workers int, emit func(any)) (any, error) {
+func (r *optimizeRequest) compute(ctx context.Context, emit func(any)) (any, error) {
 	eng := &optimize.Engine{
-		Workers:  workers,
 		Progress: func(p optimize.Progress) { emit(OptimizeProgressLine{Kind: FrameProgress, Progress: p}) },
 	}
 	return eng.Run(ctx, r.spec)

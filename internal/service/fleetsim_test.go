@@ -40,7 +40,7 @@ func postFleet(t *testing.T, h http.Handler, body string) (int, []string) {
 }
 
 func TestFleetSimEndpoint(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	h := srv.Handler()
 
 	code, lines := postFleet(t, h, fleetSpec)
@@ -130,7 +130,7 @@ func TestFleetSimEndpointErrors(t *testing.T) {
 // TestBatchFleetSimItem runs the simulation as a /v1/batch item:
 // the item answers with the same cached payload the endpoint computes.
 func TestBatchFleetSimItem(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	h := srv.Handler()
 
 	body := `{"items": [

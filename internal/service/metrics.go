@@ -54,8 +54,8 @@ func (s *Server) initMetrics() {
 		"Batch items currently executing on the parallel loop.")
 
 	reg.GaugeFunc("ccserved_worker_pool_size",
-		"Configured per-request fan-out (sweeps, campaigns, performability, fleetsim, optimize and batch items).",
-		func() float64 { return float64(s.workers()) })
+		"Goroutines the process-wide parallel loop computes on (GOMAXPROCS), shared by every request's fan-out.",
+		func() float64 { return float64(workers()) })
 	reg.GaugeFunc("ccserved_uptime_seconds",
 		"Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })

@@ -215,7 +215,7 @@ func TestStreamWriteErrorsCounted(t *testing.T) {
 // (b): writeJSON failures (client gone before the envelope flushed) are
 // counted too.
 func TestWriteJSONErrorCounted(t *testing.T) {
-	srv := New(Options{Workers: 1})
+	srv := New(Options{})
 	w := failingResponseWriter{}
 	srv.writeJSON(w, http.StatusOK, map[string]string{"k": "v"})
 	if got := srv.writeErrors.Load(); got != 1 {

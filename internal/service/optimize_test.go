@@ -33,7 +33,7 @@ func postOptimize(t *testing.T, h http.Handler, body string) (int, []string) {
 }
 
 func TestOptimizeEndpoint(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	h := srv.Handler()
 
 	code, lines := postOptimize(t, h, optimizeSpec)
@@ -111,7 +111,7 @@ func TestOptimizeEndpointRejectsBadSpecs(t *testing.T) {
 // once compute one search; the late arrivals stream just the shared
 // frontier line.
 func TestOptimizeCoalescesConcurrentSpecs(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	h := srv.Handler()
 	const n = 4
 	codes := make([]int, n)
@@ -154,7 +154,7 @@ func TestOptimizeCoalescesConcurrentSpecs(t *testing.T) {
 // TestOptimizeSeedDefaultSharesCacheEntry: "seed omitted" and "seed": 1
 // must hash identically.
 func TestOptimizeSeedDefaultSharesCacheEntry(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	h := srv.Handler()
 	if code, _ := postOptimize(t, h, optimizeSpec); code != http.StatusOK {
 		t.Fatal("first request failed")

@@ -35,7 +35,7 @@ func postPerfab(t *testing.T, h http.Handler, body string) (int, []string) {
 }
 
 func TestPerformabilityEndpoint(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	h := srv.Handler()
 
 	code, lines := postPerfab(t, h, perfabSpec)
@@ -113,7 +113,7 @@ func TestPerformabilityEndpointErrors(t *testing.T) {
 // TestBatchPerformabilityItem runs the block as a /v1/batch item:
 // the item answers with the same cached payload the endpoint computes.
 func TestBatchPerformabilityItem(t *testing.T) {
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	h := srv.Handler()
 
 	body := `{"items": [

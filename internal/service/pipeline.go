@@ -173,7 +173,7 @@ func (s *Server) fly(ctx context.Context, tr *reqtrace.Trace, key canon.Key, req
 	}
 	s.computes.Add(1)
 	sp := tr.StartSpan("compute")
-	res, err := req.compute(ctx, s.workers(), emit)
+	res, err := req.compute(ctx, emit)
 	switch {
 	case err == nil:
 		payload, err = json.Marshal(res)

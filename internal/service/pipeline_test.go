@@ -145,11 +145,11 @@ func TestEverySurfaceAnswersAlike(t *testing.T) {
 		t.Run(tc.endpoint+"/"+tc.name, func(t *testing.T) {
 			row := endpoints[rowIndex(tc.endpoint)]
 			answers := map[string]surfaceAnswer{
-				"http": terminalAnswer(t, post(New(Options{Workers: 2}).Handler(), tc.endpoint, tc.spec, "").Body.String()),
+				"http": terminalAnswer(t, post(New(Options{}).Handler(), tc.endpoint, tc.spec, "").Body.String()),
 			}
 			if row.batch {
 				body := `{"items": [{"kind": "` + tc.endpoint + `", "spec": ` + tc.spec + `}]}`
-				results, _ := readLines(t, post(New(Options{Workers: 2}).Handler(), "batch", body, "").Body.String())
+				results, _ := readLines(t, post(New(Options{}).Handler(), "batch", body, "").Body.String())
 				a := surfaceAnswer{key: results[0].Key, result: string(results[0].Result)}
 				if results[0].Error != nil {
 					a = surfaceAnswer{code: results[0].Error.Code}
@@ -158,7 +158,7 @@ func TestEverySurfaceAnswersAlike(t *testing.T) {
 			}
 			if row.stream {
 				var buf bytes.Buffer
-				payload, err := New(Options{Workers: 2}).Stream(context.Background(), tc.endpoint, []byte(tc.spec), &buf)
+				payload, err := New(Options{}).Stream(context.Background(), tc.endpoint, []byte(tc.spec), &buf)
 				switch {
 				case err == nil:
 					answers["stream"] = terminalAnswer(t, buf.String())

@@ -34,10 +34,6 @@ type Options struct {
 	CacheEntries int
 	CacheBytes   int64
 	CacheTTL     time.Duration
-	// Workers bounds each request's fan-out on the parallel loop:
-	// sweeps, campaigns, performability, fleet simulation, optimize and
-	// batch items (default GOMAXPROCS).
-	Workers int
 	// ShardID names this replica when it serves behind ccrouter: it is
 	// echoed in /v1/healthz, /v1/version and the X-Shard response
 	// header so a routed answer is attributable to its shard.
@@ -286,7 +282,7 @@ type StatsResult struct {
 	Version       string     `json:"version"`
 	UptimeSeconds float64    `json:"uptimeSeconds"`
 	Goroutines    int        `json:"goroutines"`
-	Workers       int        `json:"workers"`
+	Workers       int        `json:"workers"` // the parallel loop's process-wide budget
 	Evaluates     uint64     `json:"evaluates"`
 	Sweeps        uint64     `json:"sweeps"`
 	Campaigns     uint64     `json:"campaigns"`
@@ -329,7 +325,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Version:       version.Version,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
-		Workers:       s.workers(),
+		Workers:       workers(),
 		Evaluates:     s.requestCount("evaluate"),
 		Sweeps:        s.requestCount("sweep"),
 		Campaigns:     s.requestCount("campaign"),
@@ -351,9 +347,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // requestCount returns how many requests the row named name accepted.
 func (s *Server) requestCount(name string) uint64 { return s.requests[rowIndex(name)].Load() }
 
-// workers is the fan-out bound every request hands the parallel loop:
-// Options.Workers, or GOMAXPROCS by default.
-func (s *Server) workers() int { return batch.Workers(s.opt.Workers, math.MaxInt) }
+// workers is the size of the parallel loop's process-wide budget, which
+// every request's fan-out shares: GOMAXPROCS goroutines.
+func workers() int { return batch.Workers(0, math.MaxInt) }
 
 // cachedClass reports whether class avoided its own computation (the
 // Envelope.Cached field and a batch item line's cached field).

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -416,7 +417,7 @@ func TestStatsCounters(t *testing.T) {
 	if stats.Cache.Hits != 1 || stats.Cache.Entries != 1 {
 		t.Errorf("cache stats = %+v, want 1 hit / 1 entry", stats.Cache)
 	}
-	if stats.Workers != 2 {
-		t.Errorf("workers = %d, want 2", stats.Workers)
+	if want := runtime.GOMAXPROCS(0); stats.Workers != want {
+		t.Errorf("workers = %d, want GOMAXPROCS %d", stats.Workers, want)
 	}
 }

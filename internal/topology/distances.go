@@ -35,44 +35,3 @@ func (t *Tree) MeanDistanceLinks() float64 {
 	}
 	return d
 }
-
-// EnumerateDistanceDistribution computes the distance distribution by
-// brute force over all ordered (src,dst) pairs. Exponential in n·log k —
-// intended for validation on small trees only.
-func (t *Tree) EnumerateDistanceDistribution() []float64 {
-	counts := make([]int, t.N)
-	for s := 0; s < t.nodes; s++ {
-		for d := 0; d < t.nodes; d++ {
-			if s == d {
-				continue
-			}
-			counts[t.NCAHeight(s, d)-1]++
-		}
-	}
-	total := float64(t.nodes) * float64(t.nodes-1)
-	p := make([]float64, t.N)
-	for i, c := range counts {
-		p[i] = float64(c) / total
-	}
-	return p
-}
-
-// FixedDestinationDistribution returns the distribution of the ascending
-// height h for journeys from a uniformly random source to the given fixed
-// destination. Used to calibrate the gateway-bound (ECN1-crossing)
-// distance distribution for the simulator's concrete concentrator
-// placement.
-func (t *Tree) FixedDestinationDistribution(dst int) []float64 {
-	counts := make([]int, t.N)
-	for s := 0; s < t.nodes; s++ {
-		if s == dst {
-			continue
-		}
-		counts[t.NCAHeight(s, dst)-1]++
-	}
-	p := make([]float64, t.N)
-	for i, c := range counts {
-		p[i] = float64(c) / float64(t.nodes-1)
-	}
-	return p
-}

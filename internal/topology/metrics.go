@@ -1,31 +1,6 @@
 package topology
 
-// Structural metrics of the m-port n-tree, used by capacity analyses and
-// by tests that pin the topology to fat-tree theory.
-
-// Diameter returns the maximum number of links between any two nodes
-// under Up*/Down* routing: two nodes in different halves meet at the
-// roots, crossing 2n links.
-func (t *Tree) Diameter() int {
-	if t.nodes <= 1 {
-		return 0
-	}
-	return 2 * t.N
-}
-
-// BisectionLinks returns the number of links crossing the halves
-// boundary. Both halves attach only at the shared root level: each of the
-// k^(n−1) roots has k links into each half, so the bisection is k^n links
-// — half the node count, the "constant bisectional bandwidth" property
-// the paper cites for fat-trees (§2).
-func (t *Tree) BisectionLinks() int {
-	if t.N == 1 {
-		// The lone switch is the bisection: m ports split 2k nodes, the
-		// narrowest cut between halves is k node links.
-		return t.K
-	}
-	return t.kPowers[t.N]
-}
+// Structural metrics of the m-port n-tree used by capacity analyses.
 
 // TotalLinks returns the number of bidirectional links: 2k^n node links
 // plus k^n switch links per adjacent level pair (n−1 pairs counting the
@@ -37,20 +12,4 @@ func (t *Tree) TotalLinks() int {
 		switchLinks += len(t.switches[id].Down)
 	}
 	return nodeLinks + switchLinks
-}
-
-// AvgPathLinks returns the exact all-pairs mean link count (Eq 8 is its
-// closed form; this method computes it from the distance distribution and
-// is used to cross-check channel-rate derivations).
-func (t *Tree) AvgPathLinks() float64 { return t.MeanDistanceLinks() }
-
-// PortsUsed returns the total number of switch ports wired (up + down +
-// node-facing), for switch-radix audits: no switch may exceed m ports.
-func (t *Tree) PortsUsed(swID int) int {
-	sw := &t.switches[swID]
-	ports := len(sw.Up) + len(sw.Down)
-	if sw.Level == t.N-1 || (t.N == 1 && sw.Level == 0) {
-		ports += sw.LeafHi - sw.LeafLo // node-facing ports
-	}
-	return ports
 }

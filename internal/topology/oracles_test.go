@@ -2,9 +2,105 @@ package topology
 
 import "fmt"
 
+// Oracles the package's tests check the tree against: structural
+// metrics from fat-tree theory, a full structural audit, and brute-force
+// distance distributions.
+
+// Diameter returns the maximum number of links between any two nodes
+// under Up*/Down* routing: two nodes in different halves meet at the
+// roots, crossing 2n links.
+func (t *Tree) Diameter() int {
+	if t.nodes <= 1 {
+		return 0
+	}
+	return 2 * t.N
+}
+
+// BisectionLinks returns the number of links crossing the halves
+// boundary. Both halves attach only at the shared root level: each of the
+// k^(n−1) roots has k links into each half, so the bisection is k^n links
+// — half the node count, the "constant bisectional bandwidth" property
+// the paper cites for fat-trees (§2).
+func (t *Tree) BisectionLinks() int {
+	if t.N == 1 {
+		// The lone switch is the bisection: m ports split 2k nodes, the
+		// narrowest cut between halves is k node links.
+		return t.K
+	}
+	return t.kPowers[t.N]
+}
+
+// AvgPathLinks returns the exact all-pairs mean link count (Eq 8 is its
+// closed form; this method computes it from the distance distribution and
+// is used to cross-check channel-rate derivations).
+func (t *Tree) AvgPathLinks() float64 { return t.MeanDistanceLinks() }
+
+// PortsUsed returns the total number of switch ports wired (up + down +
+// node-facing), for switch-radix audits: no switch may exceed m ports.
+func (t *Tree) PortsUsed(swID int) int {
+	sw := &t.switches[swID]
+	ports := len(sw.Up) + len(sw.Down)
+	if sw.Level == t.N-1 || (t.N == 1 && sw.Level == 0) {
+		ports += sw.LeafHi - sw.LeafLo // node-facing ports
+	}
+	return ports
+}
+
+// NodesOfLeafSwitch returns the node ids attached to a leaf switch.
+func (t *Tree) NodesOfLeafSwitch(swID int) []int {
+	sw := &t.switches[swID]
+	if sw.Level != t.N-1 && !(t.N == 1 && sw.Level == 0) {
+		panic(fmt.Sprintf("topology: switch %d is not a leaf switch", swID))
+	}
+	out := make([]int, 0, sw.LeafHi-sw.LeafLo)
+	for v := sw.LeafLo; v < sw.LeafHi; v++ {
+		out = append(out, v)
+	}
+	return out
+}
+
+// EnumerateDistanceDistribution computes the distance distribution by
+// brute force over all ordered (src,dst) pairs. Exponential in n·log k —
+// intended for validation on small trees only.
+func (t *Tree) EnumerateDistanceDistribution() []float64 {
+	counts := make([]int, t.N)
+	for s := 0; s < t.nodes; s++ {
+		for d := 0; d < t.nodes; d++ {
+			if s == d {
+				continue
+			}
+			counts[t.NCAHeight(s, d)-1]++
+		}
+	}
+	total := float64(t.nodes) * float64(t.nodes-1)
+	p := make([]float64, t.N)
+	for i, c := range counts {
+		p[i] = float64(c) / total
+	}
+	return p
+}
+
+// FixedDestinationDistribution returns the distribution of the ascending
+// height h for journeys from a uniformly random source to the given fixed
+// destination: the gateway-bound (ECN1-crossing) distance distribution
+// of the simulator's concrete concentrator placement.
+func (t *Tree) FixedDestinationDistribution(dst int) []float64 {
+	counts := make([]int, t.N)
+	for s := 0; s < t.nodes; s++ {
+		if s == dst {
+			continue
+		}
+		counts[t.NCAHeight(s, dst)-1]++
+	}
+	p := make([]float64, t.N)
+	for i, c := range counts {
+		p[i] = float64(c) / float64(t.nodes-1)
+	}
+	return p
+}
+
 // Verify performs a full structural audit of the tree and returns the
-// first violated invariant, if any. It is O(switches·k) and intended for
-// tests and for validating configurations at experiment setup time.
+// first violated invariant, if any. It is O(switches·k).
 func (t *Tree) Verify() error {
 	n, k := t.N, t.K
 	cols := t.columns()

@@ -232,19 +232,6 @@ func (t *Tree) build() {
 	}
 }
 
-// NodesOfLeafSwitch returns the node ids attached to a leaf switch.
-func (t *Tree) NodesOfLeafSwitch(swID int) []int {
-	sw := &t.switches[swID]
-	if sw.Level != t.N-1 && !(t.N == 1 && sw.Level == 0) {
-		panic(fmt.Sprintf("topology: switch %d is not a leaf switch", swID))
-	}
-	out := make([]int, 0, sw.LeafHi-sw.LeafLo)
-	for v := sw.LeafLo; v < sw.LeafHi; v++ {
-		out = append(out, v)
-	}
-	return out
-}
-
 // Covers reports whether node is reachable through sw's descendants.
 func (t *Tree) Covers(swID, node int) bool {
 	sw := &t.switches[swID]
