@@ -1,6 +1,8 @@
 // Command ccsim runs the discrete-event cluster-of-clusters simulator at
-// one traffic rate and reports measured latency statistics, phase counts,
-// and bottleneck utilizations.
+// one traffic rate and reports measured latency statistics, each
+// branch's latency split by stage (source wait, network transfers, and
+// the gateways' concentrator and dispatcher waits), and bottleneck
+// utilizations.
 //
 // Examples:
 //
@@ -8,23 +10,27 @@
 //	ccsim -system 544 -lambda 5e-4 -measure 100000 -warmup 10000
 //	ccsim -system 544 -lambda 3e-4 -pattern hotspot -hotspot-p 0.1
 //	ccsim -system 1120 -lambda 1e-4 -top-channels 10
+//
+// Near the knee (ccsim -system 544 -lambda 4.5e-4 -seed 29) the inter
+// stage line shows the paper's bottleneck: the concentrator wait for
+// the gateway's ICN2 port outgrows every other stage.
 package main
 
 import (
-	"bufio"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/netchar"
 	"github.com/ccnet/ccnet/internal/sim"
-	"github.com/ccnet/ccnet/internal/trace"
+	"github.com/ccnet/ccnet/internal/stats"
 	"github.com/ccnet/ccnet/internal/traffic"
 	"github.com/ccnet/ccnet/internal/version"
 )
@@ -49,8 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pattern     = fs.String("pattern", "uniform", "traffic pattern: uniform, hotspot, local")
 		hotspotP    = fs.Float64("hotspot-p", 0.1, "fraction of traffic to the hot node")
 		localP      = fs.Float64("local-p", 0.5, "fraction of traffic kept intra-cluster")
-		topN        = fs.Int("top-channels", 0, "print the N most utilized channels")
-		traceOut    = fs.String("trace", "", "write per-message trace to this file (.csv or .jsonl)")
+		topN        = fs.Int("top-channels", 0, "print the N most utilized channels (equal utilizations in name order)")
 		depth       = fs.Int("buffer-depth", 1, "channel input buffer depth in flits (paper: 1)")
 		showVersion = fs.Bool("version", false, "print version and exit")
 	)
@@ -98,21 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CollectChannelUtil: *topN > 0,
 		BufferDepth:        *depth,
 	}
-	var traceFile *os.File
-	var traceBuf *bufio.Writer
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return fail(fmt.Errorf("trace: %w", err))
-		}
-		defer f.Close() // error paths only: the success path checks Close
-		traceFile, traceBuf = f, bufio.NewWriter(f)
-		if strings.HasSuffix(*traceOut, ".jsonl") {
-			cfg.Trace = &trace.JSONLWriter{W: traceBuf}
-		} else {
-			cfg.Trace = &trace.CSVWriter{W: traceBuf}
-		}
-	}
 	switch *pattern {
 	case "uniform":
 	case "hotspot":
@@ -133,14 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	elapsed := time.Since(start)
-	if traceFile != nil {
-		if err := traceBuf.Flush(); err != nil {
-			return fail(fmt.Errorf("trace: %w", err))
-		}
-		if err := traceFile.Close(); err != nil {
-			return fail(fmt.Errorf("trace: %w", err))
-		}
-	}
 
 	fmt.Fprintf(stdout, "system %s (N=%d), λ_g=%.4g, M=%d×%dB, pattern=%s\n",
 		sys.Name, sys.TotalNodes(), *lambda, *flits, *flitBytes, *pattern)
@@ -151,6 +133,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		m.Latency.Mean(), m.Latency.CI95(), m.Latency.StdDev())
 	fmt.Fprintf(stdout, "intra        : %s\n", m.Intra.String())
 	fmt.Fprintf(stdout, "inter        : %s\n", m.Inter.String())
+	fmt.Fprintf(stdout, "intra stages : %s\n", stageMeans(m.IntraStages[:],
+		"source wait", "ICN1"))
+	fmt.Fprintf(stdout, "inter stages : %s\n", stageMeans(m.InterStages[:],
+		"source wait", "ECN1 ascent", "concentrator wait", "ICN2", "dispatcher wait", "ECN1 descent"))
 	fmt.Fprintf(stdout, "generated    : %d messages, sim time %.1f units\n", m.Generated, m.SimTime)
 	fmt.Fprintf(stdout, "bottlenecks  : gateway util %.3f, max channel util %.3f\n",
 		m.MaxGatewayUtil, m.MaxChannelUtil)
@@ -166,13 +152,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for n, u := range m.ChannelUtil {
 			all = append(all, kv{n, u})
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i].u > all[j].u })
+		// Equal utilizations keep name order, so the listing does not
+		// depend on map iteration.
+		slices.SortFunc(all, func(a, b kv) int {
+			if c := cmp.Compare(b.u, a.u); c != 0 {
+				return c
+			}
+			return strings.Compare(a.name, b.name)
+		})
 		fmt.Fprintf(stdout, "\ntop %d channels by utilization:\n", *topN)
 		for i := 0; i < *topN && i < len(all); i++ {
 			fmt.Fprintf(stdout, "  %6.3f  %s\n", all[i].u, all[i].name)
 		}
 	}
 	return 0
+}
+
+// stageMeans renders each stage's mean latency after its name.
+func stageMeans(stages []stats.Accumulator, names ...string) string {
+	parts := make([]string, len(stages))
+	for i := range stages {
+		parts[i] = fmt.Sprintf("%s %.3f", names[i], stages[i].Mean())
+	}
+	return strings.Join(parts, ", ")
 }
 
 func systemByName(name string) (*cluster.System, error) {

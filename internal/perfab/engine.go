@@ -101,12 +101,12 @@ type Report struct {
 // report is identical at any GOMAXPROCS.
 type Engine struct {
 	// Progress, when set, receives incremental updates (sequentially,
-	// never concurrently).
+	// never concurrently), one per progressEvery evaluated states.
 	Progress func(Progress)
-	// ProgressEvery sets the update cadence in evaluated states
-	// (default 200).
-	ProgressEvery int
 }
+
+// progressEvery is the progress update cadence in evaluated states.
+const progressEvery = 200
 
 // Run analyzes the study and returns its report. Cancelling ctx stops
 // the analysis with the context's error.
@@ -197,11 +197,7 @@ func (a *aggregator) absorb(m *StateMetrics) {
 		a.violateSum += m.Weight
 	}
 	a.sinceProgress++
-	every := a.engine.ProgressEvery
-	if every <= 0 {
-		every = 200
-	}
-	if a.sinceProgress >= every {
+	if a.sinceProgress >= progressEvery {
 		a.sinceProgress = 0
 		a.emitProgress()
 	}

@@ -383,12 +383,16 @@ func TestAllReplicasDown(t *testing.T) {
 // TestFlappingReplicaDoesNotThrash runs replicas whose health probes
 // alternate ok/fail — strictly worse than any real flap — and asserts
 // the hysteresis keeps every replica in service: zero health
-// transitions and a fixed shard assignment throughout.
+// transitions and a fixed shard assignment throughout. A probe times out
+// after one probe interval, and a timed-out probe next to a failed one
+// is two consecutive failures, a real outage; the interval is long
+// enough that a probe delayed by a loaded machine does not time out,
+// and the window holds about 45 probes.
 func TestFlappingReplicaDoesNotThrash(t *testing.T) {
 	var probeN atomic.Int64
 	c, err := Start(Config{
 		Replicas:      3,
-		ProbeInterval: 10 * time.Millisecond,
+		ProbeInterval: 100 * time.Millisecond,
 		NewHandler: func(id string) http.Handler {
 			// Alternation must be per replica: a shared counter would
 			// let probe interleaving hand one replica two consecutive
@@ -419,7 +423,7 @@ func TestFlappingReplicaDoesNotThrash(t *testing.T) {
 
 	body := `{"system": {"preset": "small"}, "lambda": 1e-4}`
 	var firstShard string
-	deadline := time.Now().Add(400 * time.Millisecond)
+	deadline := time.Now().Add(1500 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		resp, err := http.Post(c.BaseURL()+"/v1/evaluate", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/des"
-	"github.com/ccnet/ccnet/internal/trace"
 	"github.com/ccnet/ccnet/internal/wormhole"
 )
 
@@ -151,20 +150,18 @@ func TestInterPathBalancesGatewayPorts(t *testing.T) {
 
 func TestPerPairFIFOOrdering(t *testing.T) {
 	// Deterministic routing + FIFO channels: messages of one (src,dst)
-	// pair must deliver in generation order. Verified via traces at a
-	// contended rate.
-	col := &trace.Collector{}
-	cfg := fastCfg(cluster.SmallTestSystem(), 2e-3)
-	cfg.MeasureCount = 6000
-	cfg.Trace = col
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	// pair must deliver in generation order. Verified through the
+	// delivery hook at a contended rate.
 	type gd struct{ gen, del float64 }
 	perPair := map[[2]int][]gd{}
-	for _, r := range col.Records {
-		key := [2]int{r.Src, r.Dst}
-		perPair[key] = append(perPair[key], gd{r.Generated, r.Delivered})
+	cfg := fastCfg(cluster.SmallTestSystem(), 2e-3)
+	cfg.MeasureCount = 6000
+	cfg.onDeliver = func(msg *message, deliveredAt float64) {
+		key := [2]int{msg.src, msg.dst}
+		perPair[key] = append(perPair[key], gd{msg.start[0], deliveredAt})
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
 	}
 	pairsWithTraffic := 0
 	for key, list := range perPair {

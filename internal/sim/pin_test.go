@@ -14,7 +14,6 @@ import (
 
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/netchar"
-	"github.com/ccnet/ccnet/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata digests")
@@ -70,14 +69,13 @@ func metricBits(m *Metrics) string {
 		m.Events, m.Generated, math.Float64bits(m.MaxChannelUtil), m.Saturated)
 }
 
-// TestTracePinned pins the traced path (Config.Trace set, so messages
-// and journeys are not recycled through the freelists) on the three
-// systems at a moderate load and one past the model's saturation point.
-// Each line hashes every delivered record's ID, endpoints, phase, branch
-// and the raw bits of its generation, delivery and segment-start times,
-// in delivery order; testdata/trace.pins holds the digests. A traced run
-// must also produce the same metric bits as the untraced run of its
-// configuration.
+// TestTracePinned pins every delivered message on the three systems at
+// a moderate load and one past the model's saturation point. Each line
+// hashes, in delivery order and through Config.onDeliver, every
+// message's ID, endpoints, phase, branch and the raw bits of its
+// generation, delivery and segment head-grant times, then the run's
+// metric bits; testdata/trace.pins holds the digests, recorded when the
+// simulator still wrote them as a per-message trace.
 func TestTracePinned(t *testing.T) {
 	systems := []struct {
 		name string
@@ -92,45 +90,37 @@ func TestTracePinned(t *testing.T) {
 	for _, s := range systems {
 		for _, frac := range []float64{0.5, 1.2} {
 			name := fmt.Sprintf("%s/x%g", s.name, frac)
-			cfg := Config{
+			h := fnv.New64a()
+			var buf []byte
+			delivered := 0
+			m, err := Run(Config{
 				Sys:    s.sys(),
 				Msg:    netchar.MessageSpec{Flits: 16, FlitBytes: 256},
 				Lambda: frac * s.load / 16, Seed: 5,
 				WarmupCount: 60, MeasureCount: 400, MaxBacklog: 800,
-			}
-			plain, err := Run(cfg)
+				onDeliver: func(msg *message, deliveredAt float64) {
+					delivered++
+					buf = binary.LittleEndian.AppendUint64(buf[:0], msg.id)
+					buf = binary.LittleEndian.AppendUint64(buf, uint64(msg.src))
+					buf = binary.LittleEndian.AppendUint64(buf, uint64(msg.dst))
+					buf = append(buf, msg.phase.String()...)
+					if msg.intra {
+						buf = append(buf, 1)
+					} else {
+						buf = append(buf, 0)
+					}
+					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(msg.start[0]))
+					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(deliveredAt))
+					for _, head := range msg.head[:msg.segments()] {
+						buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(head))
+					}
+					h.Write(buf)
+				},
+			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			col := &trace.Collector{}
-			cfg.Trace = col
-			traced, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s traced: %v", name, err)
-			}
-			if p, q := metricBits(plain), metricBits(traced); p != q {
-				t.Errorf("%s: traced metrics differ from untraced:\n traced   %s\n untraced %s", name, q, p)
-			}
-			h := fnv.New64a()
-			var buf []byte
-			for _, r := range col.Records {
-				buf = binary.LittleEndian.AppendUint64(buf[:0], r.ID)
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Src))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Dst))
-				buf = append(buf, r.Phase...)
-				if r.Intra {
-					buf = append(buf, 1)
-				} else {
-					buf = append(buf, 0)
-				}
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Generated))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Delivered))
-				for _, st := range r.SegmentStarts {
-					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st))
-				}
-				h.Write(buf)
-			}
-			got = append(got, fmt.Sprintf("%s %d %016x %s", name, len(col.Records), h.Sum64(), metricBits(traced)))
+			got = append(got, fmt.Sprintf("%s %d %016x %s", name, delivered, h.Sum64(), metricBits(m)))
 		}
 	}
 	checkPins(t, filepath.Join("testdata", "trace.pins"), got)

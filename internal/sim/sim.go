@@ -16,7 +16,6 @@ import (
 	"github.com/ccnet/ccnet/internal/netchar"
 	"github.com/ccnet/ccnet/internal/rng"
 	"github.com/ccnet/ccnet/internal/stats"
-	"github.com/ccnet/ccnet/internal/trace"
 	"github.com/ccnet/ccnet/internal/traffic"
 	"github.com/ccnet/ccnet/internal/wormhole"
 )
@@ -52,9 +51,6 @@ type Config struct {
 	// (engines.maxBacklog).
 	MaxBacklog int
 
-	// MaxEvents is a hard safety valve on kernel events (default 500M).
-	MaxEvents uint64
-
 	// CollectChannelUtil fills Metrics.ChannelUtil with the utilization
 	// of every channel in the system, keyed by channel name. Costs one
 	// map entry per channel; off by default.
@@ -66,10 +62,15 @@ type Config struct {
 	// and largely remove head-of-line blocking inflation.
 	BufferDepth int
 
-	// Trace, when non-nil, receives one record per delivered message
-	// (all phases). Trace write errors abort the run.
-	Trace trace.Writer
+	// onDeliver, when set, sees every delivered message (all phases) and
+	// its delivery time, just before the message is recycled: the
+	// package's tests read per-message facts through it and must not
+	// retain the pointer.
+	onDeliver func(msg *message, deliveredAt float64)
 }
+
+// maxEvents is a hard safety valve on kernel events.
+const maxEvents = 500_000_000
 
 func (c *Config) defaults() {
 	if c.WarmupCount == 0 {
@@ -80,9 +81,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxBacklog == 0 {
 		c.MaxBacklog = 50000
-	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = 500_000_000
 	}
 	if c.BufferDepth == 0 {
 		c.BufferDepth = 1
@@ -97,6 +95,17 @@ type Metrics struct {
 	Latency stats.Accumulator
 	// Intra and Inter split the measured population by branch.
 	Intra, Inter stats.Accumulator
+	// IntraStages and InterStages split each branch's measured latency
+	// by stage, in a message's order. Every segment contributes its
+	// wait (from when it may start to its head's grant of its first
+	// channel) and then its transfer (to its tail's arrival at the
+	// gateway, or delivery). Intra: source wait, ICN1 transfer. Inter:
+	// source wait, ECN1 ascent, concentrator wait for the ICN2 port,
+	// ICN2 transfer, dispatcher wait, ECN1 descent. A branch's stage
+	// means sum to its mean, and each stage counts every message of
+	// its branch.
+	IntraStages [2]stats.Accumulator
+	InterStages [6]stats.Accumulator
 	// FirstHalf and SecondHalf split the measured population by delivery
 	// order — a stationarity check: in steady state the two means agree,
 	// while an unstable (overdriven) system shows the second half
@@ -129,16 +138,26 @@ func (m *Metrics) MeanLatency() float64 { return m.Latency.Mean() }
 
 // message tracks one end-to-end transfer through up to three journeys:
 // segs holds its routes (one for intra, three for inter) and seg the
-// index of the segment in flight.
+// index of the segment in flight. start[s] is when segment s may start
+// (start[0] is the generation time, then each is the previous segment's
+// tail arrival at the gateway) and head[s] when its head was granted
+// the segment's first channel.
 type message struct {
-	id        uint64
-	src, dst  int
-	gen       float64
-	phase     stats.Phase
-	intra     bool
-	segStarts []float64
-	segs      [3]*wormhole.Route
-	seg       int
+	id          uint64
+	src, dst    int
+	phase       stats.Phase
+	intra       bool
+	segs        [3]*wormhole.Route
+	seg         int
+	start, head [3]float64
+}
+
+// segments returns how many journeys m takes: one intra, three inter.
+func (m *message) segments() int {
+	if m.intra {
+		return 1
+	}
+	return len(m.segs)
 }
 
 // Run executes one simulation to completion (all measured messages
@@ -193,13 +212,10 @@ func Run(cfg Config) (*Metrics, error) {
 	collector := stats.Collector{WarmupCount: cfg.WarmupCount, MeasureCount: cfg.MeasureCount}
 	inflight := 0
 	aborted := false
-	var traceErr error
 
-	// With no trace writer retaining per-message state, messages and
-	// journeys are recycled through freelists: steady state then runs at
-	// a near-constant live set instead of one message+journey garbage
-	// pile per delivery.
-	pooled := cfg.Trace == nil
+	// Messages and journeys are recycled through freelists: steady state
+	// runs at a near-constant live set instead of one message+journey
+	// garbage pile per delivery.
 	var msgFree []*message
 	newMessage := func() *message {
 		if n := len(msgFree); n > 0 {
@@ -213,14 +229,25 @@ func Run(cfg Config) (*Metrics, error) {
 
 	deliver := func(msg *message, deliveredAt float64) {
 		inflight--
-		lat := deliveredAt - msg.gen
+		lat := deliveredAt - msg.start[0]
 		collector.Record(msg.phase, lat)
 		if msg.phase == stats.Measure {
 			metrics.Latency.Add(lat)
+			stages := metrics.InterStages[:]
 			if msg.intra {
 				metrics.Intra.Add(lat)
+				stages = metrics.IntraStages[:]
 			} else {
 				metrics.Inter.Add(lat)
+			}
+			segs := msg.segments()
+			for s := range segs {
+				end := deliveredAt
+				if s+1 < segs {
+					end = msg.start[s+1]
+				}
+				stages[2*s].Add(msg.head[s] - msg.start[s])
+				stages[2*s+1].Add(end - msg.head[s])
 			}
 			if metrics.Latency.Count() <= cfg.MeasureCount/2 {
 				metrics.FirstHalf.Add(lat)
@@ -228,27 +255,10 @@ func Run(cfg Config) (*Metrics, error) {
 				metrics.SecondHalf.Add(lat)
 			}
 		}
-		if cfg.Trace != nil && traceErr == nil {
-			err := cfg.Trace.Write(&trace.Record{
-				ID:            msg.id,
-				Src:           msg.src,
-				Dst:           msg.dst,
-				SrcCluster:    f.clusterOf(msg.src),
-				DstCluster:    f.clusterOf(msg.dst),
-				Intra:         msg.intra,
-				Phase:         msg.phase.String(),
-				Generated:     msg.gen,
-				Delivered:     deliveredAt,
-				SegmentStarts: msg.segStarts,
-			})
-			if err != nil {
-				traceErr = err
-				aborted = true
-			}
+		if cfg.onDeliver != nil {
+			cfg.onDeliver(msg, deliveredAt)
 		}
-		if pooled {
-			msgFree = append(msgFree, msg)
-		}
+		msgFree = append(msgFree, msg)
 	}
 
 	// startSegment launches msg's segment msg.seg at time at. Every
@@ -274,26 +284,25 @@ func Run(cfg Config) (*Metrics, error) {
 	// of the three networks (deadlock freedom).
 	onSegment = func(jn *wormhole.Journey, exits []float64) {
 		msg := jn.Tag.(*message)
-		msg.segStarts = append(msg.segStarts, jn.Acquire[0])
+		msg.head[msg.seg] = jn.Acquire[0]
 		at := exits[len(exits)-1]
-		// The journey's Acquire and exits views are read out; with no
-		// trace retaining them its buffers go back to the engine.
-		if pooled {
-			engine.Recycle(jn)
-		}
-		if msg.intra || msg.seg == len(msg.segs)-1 {
+		// The journey's Acquire and exits views are read out, so its
+		// buffers go back to the engine.
+		engine.Recycle(jn)
+		if msg.seg == msg.segments()-1 {
 			deliver(msg, at)
 			return
 		}
 		msg.seg++
+		msg.start[msg.seg] = at
 		startSegment(msg, at)
 	}
 
 	launch := func(src int, at float64) {
 		dst := pattern.Pick(src, destStream)
 		msg := newMessage()
-		*msg = message{id: metrics.Generated, src: src, dst: dst, gen: at,
-			phase: collector.NextPhase(), segStarts: msg.segStarts[:0]}
+		*msg = message{id: metrics.Generated, src: src, dst: dst,
+			phase: collector.NextPhase(), start: [3]float64{at}}
 		metrics.Generated++
 		inflight++
 		if inflight > metrics.PeakBacklog {
@@ -337,15 +346,12 @@ func Run(cfg Config) (*Metrics, error) {
 	generate()
 
 	kernel.Run(func() bool {
-		return aborted || collector.DoneMeasuring() || kernel.Processed() >= cfg.MaxEvents
+		return aborted || collector.DoneMeasuring() || kernel.Processed() >= maxEvents
 	})
 
 	metrics.SimTime = kernel.Now()
 	metrics.Events = kernel.Processed()
 	metrics.Saturated = aborted || !collector.DoneMeasuring()
-	if traceErr != nil {
-		return nil, fmt.Errorf("sim: trace writer: %w", traceErr)
-	}
 
 	// Channel utilization report.
 	now := kernel.Now()

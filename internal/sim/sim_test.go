@@ -2,7 +2,6 @@ package sim
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -10,7 +9,7 @@ import (
 
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/netchar"
-	"github.com/ccnet/ccnet/internal/trace"
+	"github.com/ccnet/ccnet/internal/stats"
 	"github.com/ccnet/ccnet/internal/traffic"
 )
 
@@ -76,6 +75,19 @@ func TestZeroLoadLatenciesExact(t *testing.T) {
 	}
 	if m.Inter.StdDev() > 1e-5 { // float accumulation noise only
 		t.Errorf("inter latencies should be identical, sd = %v", m.Inter.StdDev())
+	}
+
+	// Without contention no segment waits, and each transfer is its
+	// segment's pipeline time.
+	for k, want := range []float64{0, wantIntra} {
+		if got := m.IntraStages[k].Mean(); math.Abs(got-want) > 1e-6 {
+			t.Errorf("intra stage %d mean = %v, want %v", k, got, want)
+		}
+	}
+	for k, want := range []float64{0, seg1, 0, seg2, 0, seg3} {
+		if got := m.InterStages[k].Mean(); math.Abs(got-want) > 1e-6 {
+			t.Errorf("inter stage %d mean = %v, want %v", k, got, want)
+		}
 	}
 }
 
@@ -399,56 +411,87 @@ func TestBufferDepthValidation(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsDeliveries(t *testing.T) {
-	col := &trace.Collector{}
-	cfg := fastCfg(cluster.SmallTestSystem(), 5e-4)
-	cfg.Trace = col
+// TestDeliveryStages checks every delivered message through the
+// delivery hook — all its segments ran, its branch matches its
+// endpoints' clusters, and each segment's wait is non-negative and its
+// transfer positive — and that the metrics' stage split is the per-message
+// one: each stage counts every measured message of its branch, its mean
+// is the mean of those messages' values, and a branch's stage means sum
+// to the branch mean.
+func TestDeliveryStages(t *testing.T) {
+	sys := cluster.SmallTestSystem()
+	offsets := []int{0}
+	for i := range sys.Clusters {
+		offsets = append(offsets, offsets[i]+sys.ClusterNodes(i))
+	}
+	clusterOf := nodeClusters(offsets)
+
+	var sums [2][6]float64 // measured stage sums, intra then inter
+	var counts [2]uint64
+	var delivered uint64
+	cfg := fastCfg(sys, 2e-3) // contended, so segments wait
+	cfg.onDeliver = func(msg *message, deliveredAt float64) {
+		delivered++
+		if msg.intra != (clusterOf[msg.src] == clusterOf[msg.dst]) {
+			t.Fatalf("message %d (%d→%d): intra=%v disagrees with its clusters", msg.id, msg.src, msg.dst, msg.intra)
+		}
+		segs := msg.segments()
+		if msg.seg != segs-1 {
+			t.Fatalf("message %d (intra=%v) delivered after segment %d of %d", msg.id, msg.intra, msg.seg+1, segs)
+		}
+		branch := 1
+		if msg.intra {
+			branch = 0
+		}
+		for s := range segs {
+			end := deliveredAt
+			if s+1 < segs {
+				end = msg.start[s+1]
+			}
+			wait, transfer := msg.head[s]-msg.start[s], end-msg.head[s]
+			if wait < 0 || transfer <= 0 {
+				t.Fatalf("message %d segment %d: wait %v, transfer %v", msg.id, s, wait, transfer)
+			}
+			if msg.phase == stats.Measure {
+				sums[branch][2*s] += wait
+				sums[branch][2*s+1] += transfer
+			}
+		}
+		if msg.phase == stats.Measure {
+			counts[branch]++
+		}
+	}
 	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(len(col.Records)) < m.Latency.Count() {
-		t.Fatalf("traced %d records for %d measured deliveries", len(col.Records), m.Latency.Count())
+	if m.Saturated || delivered < m.Latency.Count() {
+		t.Fatalf("saturated=%v, %d deliveries for %d measured", m.Saturated, delivered, m.Latency.Count())
 	}
-	for _, r := range col.Records {
-		if r.Delivered <= r.Generated {
-			t.Fatalf("record %d: delivered %v before generated %v", r.ID, r.Delivered, r.Generated)
+	for b, branch := range []struct {
+		name   string
+		acc    *stats.Accumulator
+		stages []stats.Accumulator
+	}{
+		{"intra", &m.Intra, m.IntraStages[:]},
+		{"inter", &m.Inter, m.InterStages[:]},
+	} {
+		if branch.acc.Count() == 0 || branch.acc.Count() != counts[b] {
+			t.Fatalf("%s: %d measured, hook saw %d", branch.name, branch.acc.Count(), counts[b])
 		}
-		wantSegs := 3
-		if r.Intra {
-			wantSegs = 1
-		}
-		if len(r.SegmentStarts) != wantSegs {
-			t.Fatalf("record %d (intra=%v): %d segment starts, want %d",
-				r.ID, r.Intra, len(r.SegmentStarts), wantSegs)
-		}
-		if r.SourceWait() < 0 {
-			t.Fatalf("record %d: negative source wait %v", r.ID, r.SourceWait())
-		}
-		// Segment starts must be ordered and inside the lifetime.
-		prev := r.Generated
-		for s, st := range r.SegmentStarts {
-			if st < prev {
-				t.Fatalf("record %d: segment %d starts at %v before %v", r.ID, s, st, prev)
+		var sum float64
+		for k := range branch.stages {
+			st := &branch.stages[k]
+			if st.Count() != counts[b] {
+				t.Errorf("%s stage %d counts %d messages, want %d", branch.name, k, st.Count(), counts[b])
 			}
-			prev = st
+			if want := sums[b][k] / float64(counts[b]); math.Abs(st.Mean()-want) > 1e-9*branch.acc.Mean() {
+				t.Errorf("%s stage %d mean %v, messages' mean %v", branch.name, k, st.Mean(), want)
+			}
+			sum += st.Mean()
 		}
-		if r.Intra != (r.SrcCluster == r.DstCluster) {
-			t.Fatalf("record %d: intra flag inconsistent with clusters", r.ID)
+		if math.Abs(sum-branch.acc.Mean()) > 1e-9*branch.acc.Mean() {
+			t.Errorf("%s stage means sum to %v, branch mean %v", branch.name, sum, branch.acc.Mean())
 		}
-	}
-}
-
-type failingTraceWriter struct{}
-
-func (failingTraceWriter) Write(*trace.Record) error { return errSimTrace }
-
-var errSimTrace = errors.New("trace sink failed")
-
-func TestTraceErrorAbortsRun(t *testing.T) {
-	cfg := fastCfg(cluster.SmallTestSystem(), 5e-4)
-	cfg.Trace = failingTraceWriter{}
-	if _, err := Run(cfg); !errors.Is(err, errSimTrace) {
-		t.Fatalf("trace failure not surfaced: %v", err)
 	}
 }
