@@ -23,6 +23,7 @@
 //
 //	ccscen run examples/scenarios/fig3.json
 //	ccscen run -quick -outdir results/ examples/scenarios
+//	ccscen run -explain examples/scenarios/heterogeneity
 //	ccscen batch batchfile.json
 //	ccscen batch - < batchfile.json
 //	ccscen optimize examples/scenarios/optimize/budget-cluster-mix.json
@@ -41,6 +42,17 @@
 // without a server. `ccscen validate` is kind-aware: it walks
 // directories recursively and checks scenario, fleetsim and optimize
 // documents each against its own schema.
+//
+// `ccscen run -explain` shows where each answer comes from: after each
+// series' table it prints every model column's saturation point and
+// per-cluster latency terms (U, W_in, T_in, L_in, T_ex, W_d, L_out and
+// the cluster mean) at the column's highest stable rate, and, for every
+// simulated point, its first replication's branch means, their split by
+// stage, the peak backlog, the gateway and maximum channel utilizations
+// and the five busiest channels. It changes no table row or CSV byte.
+// A single evaluation or sweep is a `ccscen batch` item of kind
+// evaluate or sweep; a single simulation is a one-point scenario with
+// engines.simulation on.
 package main
 
 import (
@@ -129,6 +141,10 @@ run flags:
   -quick       reduced simulation message counts (fast, less precise)
   -outdir DIR  write one CSV per scenario into DIR
   -plot        render an ASCII chart of each scenario
+  -explain     after each series' table, print each model column's knee
+               and per-cluster terms at its highest stable rate, and each
+               simulated point's stage split, bottleneck utilizations and
+               busiest channels (from its first replication)
 
 optimize flags:
   -ndjson      stream NDJSON progress + frontier lines to stdout (the
@@ -562,6 +578,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "reduced simulation message counts (fast, less precise)")
 	outdir := fs.String("outdir", "", "write one CSV per scenario into this directory")
 	plot := fs.Bool("plot", false, "render an ASCII chart of each scenario")
+	explain := fs.Bool("explain", false, "print each model column's knee and per-cluster terms and each simulated point's stage split")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -586,7 +603,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	r := &scenario.Runner{Quick: *quick}
+	r := &scenario.Runner{Quick: *quick, Explain: *explain}
 	outcomes := r.Run(specs)
 
 	failures := 0

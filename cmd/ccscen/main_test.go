@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -28,6 +29,7 @@ func TestRun(t *testing.T) {
 		{Name: "noArgs", Args: []string{}, WantCode: 2, WantStderr: "usage:"},
 		{Name: "unknownVerb", Args: []string{"frobnicate"}, WantCode: 2, WantStderr: `unknown verb "frobnicate"`},
 		{Name: "help", Args: []string{"help"}, WantCode: 0, WantStdout: "usage:"},
+		{Name: "helpExplain", Args: []string{"help"}, WantCode: 0, WantStdout: "  -explain     after each series' table"},
 		{Name: "runBadFlag", Args: []string{"run", "-no-such-flag"}, WantCode: 2, WantStderr: "flag provided but not defined"},
 		{Name: "runNoFiles", Args: []string{"run"}, WantCode: 2, WantStderr: "at least one scenario file"},
 		{Name: "validateNoFiles", Args: []string{"validate"}, WantCode: 2, WantStderr: "at least one scenario file"},
@@ -448,5 +450,98 @@ func TestFleetVerb(t *testing.T) {
 	got = clitest.Run(run, "fleet", failing)
 	if got.Code != 1 || !strings.Contains(got.Stdout, "FAIL") || !strings.Contains(got.Stderr, "fleet assertion(s) failed") {
 		t.Fatalf("exit %d stdout %q stderr %q", got.Code, got.Stdout, got.Stderr)
+	}
+}
+
+// onePointScenario simulates one rate on the small system: the scenario
+// form of a single simulation run.
+const onePointScenario = `{
+	"name": "cli-one-point", "seed": 29,
+	"system": {"preset": "small"},
+	"traffic": {"flits": 8, "flitBytes": [64], "lambda": {"values": [2e-3]}},
+	"engines": {"simulation": true, "simEvery": 1, "warmup": 100, "measure": 1000}
+}`
+
+// timing matches the lines of run's output that carry wall-clock times.
+var timing = regexp.MustCompile(`(?m)^(\(.* completed in .*\)|campaign: .*)\n`)
+
+func writeSpec(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunExplain: -explain prints, after the series' table, each model
+// column's knee and per-cluster terms and the simulated point's stage
+// split; without its lines the output is run's, and the CSV is
+// byte-identical.
+func TestRunExplain(t *testing.T) {
+	spec := writeSpec(t, onePointScenario)
+	dir := t.TempDir()
+	plain := clitest.Run(run, "run", "-outdir", filepath.Join(dir, "plain"), spec)
+	explained := clitest.Run(run, "run", "-explain", "-outdir", filepath.Join(dir, "explain"), spec)
+	if plain.Code != 0 || explained.Code != 0 {
+		t.Fatalf("exit %d and %d: %s%s", plain.Code, explained.Code, plain.Stderr, explained.Stderr)
+	}
+	for _, want := range []string{
+		"explain analysis: knee λ=", "explain analysisSF: knee λ=", "; per-cluster terms at λ=2.0000e-03",
+		"  i    U      W_in     T_in     L_in     T_ex     W_d      L_out    mean\n  0    ",
+		"explain sim λ=2.000e-03, first replication: intra ", ", peak backlog ", ", gateway util ",
+		"  intra stages: source wait ", "  inter stages: source wait ", ", concentrator wait ", ", dispatcher wait ",
+		"  busiest channels: ",
+	} {
+		if !strings.Contains(explained.Stdout, want) {
+			t.Errorf("-explain output lacks %q:\n%s", want, explained.Stdout)
+		}
+	}
+	if strings.Contains(plain.Stdout, "explain") {
+		t.Errorf("output without -explain explains:\n%s", plain.Stdout)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(explained.Stdout, "\n") {
+		if !strings.HasPrefix(line, "explain ") && !strings.HasPrefix(line, "  ") {
+			kept = append(kept, line)
+		}
+	}
+	strip := func(s string) string {
+		return strings.ReplaceAll(timing.ReplaceAllString(s, ""), filepath.Join(dir, "explain"), filepath.Join(dir, "plain"))
+	}
+	if got, want := strip(strings.Join(kept, "")), strip(plain.Stdout); got != want {
+		t.Errorf("-explain changed run's own lines:\n%s\n---\n%s", got, want)
+	}
+	a, err := os.ReadFile(filepath.Join(dir, "plain", "cli-one-point.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "explain", "cli-one-point.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Errorf("CSV differs with -explain:\n%s\n---\n%s", b, a)
+	}
+}
+
+// TestOutputDeterministic runs one explained simulation at GOMAXPROCS 1
+// and 4: everything but the wall-clock lines is byte-identical, the
+// busiest-channel lists included.
+func TestOutputDeterministic(t *testing.T) {
+	spec := writeSpec(t, onePointScenario)
+	out := func(procs int) string {
+		got := runAt(procs, "run", "-explain", spec)
+		if got.Code != 0 {
+			t.Fatalf("exit %d: %s", got.Code, got.Stderr)
+		}
+		return timing.ReplaceAllString(got.Stdout, "")
+	}
+	a, b := out(1), out(4)
+	if !strings.Contains(a, "busiest channels: ") {
+		t.Fatalf("no channel listing in stdout:\n%s", a)
+	}
+	if a != b {
+		t.Fatalf("two runs of one simulation printed different output:\n%s\n---\n%s", a, b)
 	}
 }

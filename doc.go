@@ -9,8 +9,8 @@
 // model, internal/sim for the simulator, and internal/scenario for the
 // declarative scenario engine — JSON what-if specs run by a parallel,
 // deterministically seeded campaign runner, which also runs the paper's
-// own evaluation. The cmd/ binaries (ccmodel, ccsim, ccscen, and the
-// ccserved/ccrouter/ccload serving tier) are the entry points, and
+// own evaluation. The cmd/ binaries (ccscen, the one offline CLI, and
+// the ccserved/ccrouter/ccload serving tier) are the entry points, and
 // examples/scenarios holds ready-to-run scenario files, among them
 // Figs 3–7 and the ablation, non-uniform-traffic and buffer-depth
 // experiments as campaigns for `ccscen run`. Tables 1–2 are

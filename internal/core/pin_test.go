@@ -19,10 +19,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/model.pins")
 
-// pinSearches are the (hi, tol) pairs SaturationPoint is called with:
-// (1, 1e-4) by the service, perfab, scenario and optimize and (0.1,
-// 1e-5) by ccmodel; (0.01, 1e-4), which the paper's ablation used, stays
-// in the recorded corpus as a low search ceiling.
+// pinSearches are the (hi, tol) pairs of the recorded corpus: (1, 1e-4),
+// which the service, perfab, scenario and optimize call; (0.01, 1e-4),
+// which the paper's ablation used, as a low search ceiling; and (0.1,
+// 1e-5) as a finer tolerance under a middle ceiling.
 var pinSearches = [...]struct{ hi, tol float64 }{{1, 1e-4}, {0.01, 1e-4}, {0.1, 1e-5}}
 
 // pinOptions are the six option settings of the pinned corpus: the

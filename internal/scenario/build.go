@@ -172,7 +172,7 @@ func (s *Spec) Grid(models []*core.Model) ([]float64, error) {
 		}
 		sat := 0.0
 		for i, m := range models {
-			p := m.SaturationPoint(1.0, 1e-4)
+			p := knee(m)
 			if p <= 0 {
 				return nil, fieldErr("traffic.lambda.auto",
 					"series %d (Lm=%d) saturates at any positive rate", i, s.Traffic.FlitBytes[i])

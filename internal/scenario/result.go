@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
+	"github.com/ccnet/ccnet/internal/core"
 	"github.com/ccnet/ccnet/internal/viz"
 )
 
@@ -23,13 +25,65 @@ type Point struct {
 	Simulation float64
 	SimCI      float64
 	SimEvents  uint64
+	// Sim is the simulator's breakdown of the point's first replication
+	// when the runner explains (nil otherwise, and on points not
+	// simulated).
+	Sim *SimBreakdown
 }
 
 // Series is one curve of a result: one flit size of a scenario.
 type Series struct {
 	Label  string
 	Points []Point
+	// Models holds one breakdown per model column that is on, when the
+	// runner explains.
+	Models []ModelBreakdown
 }
+
+// ModelBreakdown is one model column's account of a series: where it
+// saturates and what each cluster's latency is made of.
+type ModelBreakdown struct {
+	Column string  // "analysis" or "analysisSF"
+	Knee   float64 // saturation point, as the saturation assertion reads it
+	// Lambda is the highest grid rate the column's sweep found stable
+	// (NaN when it found none), and Clusters the per-cluster terms there
+	// (Eqs 1, 4 and 32–39).
+	Lambda   float64
+	Clusters []core.ClusterResult
+}
+
+// SimBreakdown is one simulation run's account of a point.
+type SimBreakdown struct {
+	Intra, Inter float64 // branch means
+	// IntraStages (source wait, ICN1) and InterStages (source wait,
+	// ECN1 ascent, concentrator wait, ICN2, dispatcher wait, ECN1
+	// descent) are the stage means sim.Metrics splits each branch into;
+	// each sums to its branch mean.
+	IntraStages [2]float64
+	InterStages [6]float64
+	PeakBacklog int
+	// GatewayUtil is the busiest gateway ICN2 injection port's
+	// utilization, MaxChannelUtil the busiest channel's.
+	GatewayUtil, MaxChannelUtil float64
+	// Busiest lists the busiest channels, most utilized first and equal
+	// utilizations in name order.
+	Busiest []ChannelUtil
+}
+
+// ChannelUtil is one channel's utilization.
+type ChannelUtil struct {
+	Name string
+	Util float64
+}
+
+// busiestChannels is how many channels a SimBreakdown lists.
+const busiestChannels = 5
+
+// The stage names of sim.Metrics' IntraStages and InterStages.
+var (
+	intraStages = []string{"source wait", "ICN1"}
+	interStages = []string{"source wait", "ECN1 ascent", "concentrator wait", "ICN2", "dispatcher wait", "ECN1 descent"}
+)
 
 // Result is one scenario's campaign result, laid out like the paper's
 // figures: one series per flit size, one point per traffic rate.
@@ -138,7 +192,8 @@ func WriteCSV(w io.Writer, r *Result) error {
 }
 
 // Render prints a human-readable table of the result; the ci95 column
-// reads "-" unless the point holds a simulated mean.
+// reads "-" unless the point holds a simulated mean. An explained
+// result's breakdowns follow each series' table.
 func Render(w io.Writer, r *Result) error {
 	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title); err != nil {
 		return err
@@ -160,6 +215,14 @@ func Render(w io.Writer, r *Result) error {
 			fmt.Fprintf(w, "%-12.3e %s   %s   %s   %s\n",
 				p.Lambda, f(p.Analysis), f(p.AnalysisSF), f(p.Simulation), f(ciOf(p)))
 		}
+		for _, b := range s.Models {
+			renderModel(w, &b)
+		}
+		for _, p := range s.Points {
+			if p.Sim != nil {
+				renderSim(w, p.Lambda, p.Sim)
+			}
+		}
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
@@ -168,6 +231,42 @@ func Render(w io.Writer, r *Result) error {
 		fmt.Fprintf(w, "light-load mean |err|: paper-eq %.1f%%, with-S&F %.1f%%\n", paper, sf)
 	}
 	return nil
+}
+
+// renderModel prints a model column's knee and its per-cluster terms.
+func renderModel(w io.Writer, b *ModelBreakdown) {
+	fmt.Fprintf(w, "explain %s: knee λ=%.4e", b.Column, b.Knee)
+	if b.Clusters == nil {
+		fmt.Fprintf(w, "; no stable grid rate\n")
+		return
+	}
+	fmt.Fprintf(w, "; per-cluster terms at λ=%.4e\n", b.Lambda)
+	fmt.Fprintf(w, "  %-4s %-6s %-8s %-8s %-8s %-8s %-8s %-8s %s\n",
+		"i", "U", "W_in", "T_in", "L_in", "T_ex", "W_d", "L_out", "mean")
+	for i, c := range b.Clusters {
+		fmt.Fprintf(w, "  %-4d %-6.3f %-8.3f %-8.3f %-8.3f %-8.3f %-8.3f %-8.3f %.3f\n",
+			i, c.U, c.WIn, c.TIn, c.LIn, c.TEx, c.WD, c.LOut, c.Mean)
+	}
+}
+
+// renderSim prints a simulated point's breakdown.
+func renderSim(w io.Writer, lambda float64, b *SimBreakdown) {
+	stages := func(means []float64, names []string) string {
+		parts := make([]string, len(means))
+		for k, v := range means {
+			parts[k] = fmt.Sprintf("%s %.3f", names[k], v)
+		}
+		return strings.Join(parts, ", ")
+	}
+	busiest := make([]string, len(b.Busiest))
+	for k, c := range b.Busiest {
+		busiest[k] = fmt.Sprintf("%s %.3f", c.Name, c.Util)
+	}
+	fmt.Fprintf(w, "explain sim λ=%.3e, first replication: intra %.3f, inter %.3f, peak backlog %d, gateway util %.3f, max channel util %.3f\n",
+		lambda, b.Intra, b.Inter, b.PeakBacklog, b.GatewayUtil, b.MaxChannelUtil)
+	fmt.Fprintf(w, "  intra stages: %s\n", stages(b.IntraStages[:], intraStages))
+	fmt.Fprintf(w, "  inter stages: %s\n", stages(b.InterStages[:], interStages))
+	fmt.Fprintf(w, "  busiest channels: %s\n", strings.Join(busiest, ", "))
 }
 
 // RenderChart draws the result as an ASCII chart: one curve per

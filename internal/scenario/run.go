@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/ccnet/ccnet/internal/batch"
@@ -27,6 +30,11 @@ type Runner struct {
 	// Quick replaces the simulation message counts with 2000 warm-up /
 	// 15000 measured, for fast smoke runs of simulation-heavy campaigns.
 	Quick bool
+	// Explain records, beside the result, each model column's knee and
+	// per-cluster terms (Series.Models) and each simulated point's stage
+	// split (Point.Sim). It leaves every other field of the result as it
+	// is; Render prints the breakdowns.
+	Explain bool
 }
 
 // Outcome is one scenario's campaign result.
@@ -119,7 +127,8 @@ func (r *Runner) Run(specs []*Spec) []*Outcome {
 	// here: a campaign is not cancellable yet.
 	errs := make([]error, len(jobs))
 	_ = batch.Run(context.TODO(), len(jobs), 0, func(_, i int) {
-		errs[i] = jobs[i].run(r.simCounts(jobs[i].p.spec))
+		warmup, measure := r.simCounts(jobs[i].p.spec)
+		errs[i] = jobs[i].run(warmup, measure, r.Explain)
 	}, nil)
 	for i, err := range errs {
 		if err != nil {
@@ -194,9 +203,15 @@ func (r *Runner) prepare(s *Spec) (*prepared, error) {
 		var analysis, sf []*core.Result
 		if s.Engines.analysisOn() {
 			analysis = p.paper[si].SweepParallel(p.grid, 0)
+			if r.Explain {
+				series.Models = append(series.Models, explainModel("analysis", p.paper[si], analysis))
+			}
 		}
 		if s.Engines.analysisSFOn() {
 			sf = p.sf[si].SweepParallel(p.grid, 0)
+			if r.Explain {
+				series.Models = append(series.Models, explainModel("analysisSF", p.sf[si], sf))
+			}
 		}
 		for gi, l := range p.grid {
 			pt := Point{Lambda: l, Analysis: math.NaN(),
@@ -250,8 +265,9 @@ func (p *prepared) simJobs() []simJob {
 	return jobs
 }
 
-// run executes every replication of the job and fills its result slot.
-func (j simJob) run(warmup, measure uint64) error {
+// run executes every replication of the job and fills its result slot;
+// with explain, the first replication also fills the point's breakdown.
+func (j simJob) run(warmup, measure uint64, explain bool) error {
 	s := j.p.spec
 	msg := netchar.MessageSpec{Flits: s.Traffic.Flits, FlitBytes: s.Traffic.FlitBytes[j.series]}
 	pt := &j.p.result.Series[j.series].Points[j.point]
@@ -271,12 +287,16 @@ func (j simJob) run(warmup, measure uint64) error {
 			Sys: j.p.sys, Msg: msg, Lambda: j.p.grid[j.point],
 			Pattern: j.p.pattern, Seed: seed,
 			WarmupCount: warmup, MeasureCount: measure,
-			MaxBacklog:  s.Engines.MaxBacklog,
-			BufferDepth: s.Engines.BufferDepth,
+			MaxBacklog:         s.Engines.MaxBacklog,
+			BufferDepth:        s.Engines.BufferDepth,
+			CollectChannelUtil: explain && rep == 0,
 		})
 		if err != nil {
 			return fmt.Errorf("scenario %s: sim Lm=%d λ=%.3g: %w",
 				s.Name, msg.FlitBytes, j.p.grid[j.point], err)
+		}
+		if explain && rep == 0 {
+			pt.Sim = explainSim(m)
 		}
 		pt.SimEvents += m.Events
 		if m.Saturated {
@@ -299,6 +319,61 @@ func (j simJob) run(warmup, measure uint64) error {
 	return nil
 }
 
+// knee is a model's saturation point, searched as the saturation
+// assertion, the auto grid and explain all search it.
+func knee(m *core.Model) float64 { return m.SaturationPoint(1.0, 1e-4) }
+
+// explainModel breaks one model column of a series down: its knee and
+// its per-cluster terms at the highest grid rate its sweep found stable.
+func explainModel(column string, m *core.Model, sweep []*core.Result) ModelBreakdown {
+	b := ModelBreakdown{Column: column, Knee: knee(m), Lambda: math.NaN()}
+	var at *core.Result
+	for _, r := range sweep {
+		if !r.Saturated && (at == nil || r.Lambda > at.Lambda) {
+			at = r
+		}
+	}
+	if at != nil {
+		b.Lambda, b.Clusters = at.Lambda, at.PerCluster
+	}
+	return b
+}
+
+// explainSim breaks one simulation run down. m must have collected its
+// channel utilizations.
+func explainSim(m *sim.Metrics) *SimBreakdown {
+	b := &SimBreakdown{
+		Intra: m.Intra.Mean(), Inter: m.Inter.Mean(),
+		PeakBacklog: m.PeakBacklog,
+		GatewayUtil: m.MaxGatewayUtil, MaxChannelUtil: m.MaxChannelUtil,
+	}
+	for k := range m.IntraStages {
+		b.IntraStages[k] = m.IntraStages[k].Mean()
+	}
+	for k := range m.InterStages {
+		b.InterStages[k] = m.InterStages[k].Mean()
+	}
+	b.Busiest = busiest(m.ChannelUtil, busiestChannels)
+	return b
+}
+
+// busiest returns the n most utilized channels, most utilized first.
+// Equal utilizations keep name order, so the list does not depend on map
+// iteration.
+func busiest(util map[string]float64, n int) []ChannelUtil {
+	all := make([]ChannelUtil, 0, len(util))
+	for name, u := range util {
+		all = append(all, ChannelUtil{Name: name, Util: u})
+	}
+	slices.SortFunc(all, func(a, b ChannelUtil) int {
+		if c := cmp.Compare(b.Util, a.Util); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Name, b.Name)
+	})
+	return slices.Clone(all[:min(n, len(all))])
+}
+
 // evaluateAssertions checks every assertion against the finished result.
 func (p *prepared) evaluateAssertions() []AssertionResult {
 	out := make([]AssertionResult, 0, len(p.spec.Assertions))
@@ -313,7 +388,7 @@ func (p *prepared) evaluate(a AssertionSpec) AssertionResult {
 	switch a.Type {
 	case "saturation":
 		for si, m := range p.paper {
-			sat := m.SaturationPoint(1.0, 1e-4)
+			sat := knee(m)
 			label := p.result.Series[si].Label
 			if a.Min != 0 && sat < a.Min {
 				res.Pass = false

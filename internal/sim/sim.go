@@ -230,7 +230,7 @@ func Run(cfg Config) (*Metrics, error) {
 	deliver := func(msg *message, deliveredAt float64) {
 		inflight--
 		lat := deliveredAt - msg.start[0]
-		collector.Record(msg.phase, lat)
+		collector.Record(msg.phase)
 		if msg.phase == stats.Measure {
 			metrics.Latency.Add(lat)
 			stages := metrics.InterStages[:]

@@ -11,6 +11,7 @@ import (
 	"github.com/ccnet/ccnet/internal/netchar"
 	"github.com/ccnet/ccnet/internal/stats"
 	"github.com/ccnet/ccnet/internal/traffic"
+	"github.com/ccnet/ccnet/internal/wormhole"
 )
 
 // tinySystem has four n_i=1 clusters (m=4): every intra journey crosses
@@ -117,6 +118,16 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestConservationAndCounts(t *testing.T) {
 	cfg := fastCfg(cluster.SmallTestSystem(), 5e-4)
+	var measured uint64
+	cfg.onDeliver = func(msg *message, deliveredAt float64) {
+		if msg.phase != stats.Measure {
+			return
+		}
+		measured++
+		if lat := deliveredAt - msg.start[0]; !(lat > 0) {
+			t.Fatalf("message %d: non-positive latency %v", msg.id, lat)
+		}
+	}
 	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +144,8 @@ func TestConservationAndCounts(t *testing.T) {
 	if m.Generated < cfg.WarmupCount+cfg.MeasureCount {
 		t.Fatalf("generated only %d messages", m.Generated)
 	}
-	if m.Latency.Min() <= 0 {
-		t.Fatalf("non-positive latency sample: %v", m.Latency.Min())
+	if measured != m.Latency.Count() {
+		t.Fatalf("hook saw %d measured deliveries, metrics count %d", measured, m.Latency.Count())
 	}
 }
 
@@ -342,16 +353,72 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestFabricStructure counts, through visit, the channels buildFabric
+// makes for Table 1's systems. An m-port n-tree over N_i nodes has
+// 2·n·N_i channels (an injection and an ejection channel per node, and
+// two per switch link on each of the n−1 switch levels), and a cluster's
+// gateway has a concentrator and a dispatcher port per ECN1 root, of
+// which there are (m/2)^(n−1).
 func TestFabricStructure(t *testing.T) {
-	// White-box checks of the built fabric for Table 1's N=1120 system.
-	sys := cluster.System1120()
-	cfg := Config{Sys: sys, Msg: netchar.MessageSpec{Flits: 8, FlitBytes: 64},
-		Lambda: 1e-6, Seed: 1, WarmupCount: 1, MeasureCount: 10}
-	m, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		sys      *cluster.System
+		clusters int
+		icn2     int
+		total    int
+		// tree and ports pin each tree network's channels and each
+		// gateway's ports by n_i.
+		tree, ports map[int]int
+	}{
+		{cluster.System1120(), 32, 128, 11032, map[int]int{1: 16, 2: 128, 3: 768}, map[int]int{1: 2, 2: 8, 3: 32}},
+		{cluster.System544(), 16, 96, 9840, map[int]int{3: 96, 4: 256, 5: 640}, map[int]int{3: 8, 4: 16, 5: 32}},
+	} {
+		sys := c.sys
+		f := buildTestFabric(t, sys)
+		if len(f.clusters) != c.clusters || sys.NumClusters() != c.clusters {
+			t.Fatalf("%s: %d clusters built, want %d", sys.Name, len(f.clusters), c.clusters)
+		}
+		perNet := make(map[string]int)
+		seen := make(map[*wormhole.Channel]bool)
+		gateways := 0
+		f.visit(false, func(ch *wormhole.Channel, _ string, gateway bool) {
+			if seen[ch] {
+				t.Fatalf("%s: channel of %s visited twice", sys.Name, ch.Name)
+			}
+			seen[ch] = true
+			perNet[ch.Name]++
+			if gateway {
+				gateways++
+			}
+		})
+		if len(seen) != c.total {
+			t.Errorf("%s: %d channels, want %d", sys.Name, len(seen), c.total)
+		}
+		if perNet["ICN2"] != c.icn2 || gateways != c.clusters {
+			t.Errorf("%s: ICN2 has %d channels and %d gateway injection ports, want %d and %d",
+				sys.Name, perNet["ICN2"], gateways, c.icn2, c.clusters)
+		}
+		k := sys.Ports / 2
+		for i, cc := range sys.Clusters {
+			n := cc.TreeLevels
+			tree := 2 * n * sys.ClusterNodes(i)
+			ports := 2
+			for range n - 1 {
+				ports *= k
+			}
+			if tree != c.tree[n] || ports != c.ports[n] {
+				t.Fatalf("%s cluster %d (n=%d): formula gives %d tree channels and %d gateway ports, table %d and %d",
+					sys.Name, i, n, tree, ports, c.tree[n], c.ports[n])
+			}
+			for _, net := range []string{fmt.Sprintf("ICN1(%d)", i), fmt.Sprintf("ECN1(%d)", i)} {
+				if perNet[net] != tree {
+					t.Errorf("%s: %s has %d channels, want 2·%d·%d = %d", sys.Name, net, perNet[net], n, sys.ClusterNodes(i), tree)
+				}
+			}
+			if got := perNet[fmt.Sprintf("CD(%d)", i)]; got != ports {
+				t.Errorf("%s: cluster %d gateway has %d ports, want %d", sys.Name, i, got, ports)
+			}
+		}
 	}
-	_ = m
 }
 
 func TestClusterOfOffsets(t *testing.T) {

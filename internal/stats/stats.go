@@ -9,26 +9,15 @@ import (
 	"math"
 )
 
-// Accumulator keeps running count/mean/variance (Welford) plus extrema.
+// Accumulator keeps running count/mean/variance (Welford).
 type Accumulator struct {
 	n        uint64
 	mean, m2 float64
-	min, max float64
 }
 
 // Add records one sample.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
@@ -51,12 +40,6 @@ func (a *Accumulator) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
-// Min returns the smallest sample (0 when empty).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest sample (0 when empty).
-func (a *Accumulator) Max() float64 { return a.max }
-
 // StdErr returns the standard error of the mean.
 func (a *Accumulator) StdErr() float64 {
 	if a.n == 0 {
@@ -69,12 +52,6 @@ func (a *Accumulator) StdErr() float64 {
 // interval on the mean. Latency samples in the simulator number in the
 // tens of thousands, where the normal approximation is exact enough.
 func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
-
-// String summarizes the accumulator.
-func (a *Accumulator) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g ±%.2g sd=%.4g min=%.4g max=%.4g",
-		a.n, a.Mean(), a.CI95(), a.StdDev(), a.min, a.max)
-}
 
 // Phase labels the measurement protocol phases.
 type Phase int
@@ -104,14 +81,13 @@ func (p Phase) String() string {
 // generated messages are ignored, the next MeasureCount are measured, and
 // everything generated afterwards belongs to the drain phase. Phases are
 // assigned at *generation* time (messages are time-stamped when generated,
-// as in the paper), and recorded at delivery.
+// as in the paper), and deliveries are counted so the run knows when
+// every measured message is in; the caller accumulates the latencies.
 type Collector struct {
 	WarmupCount  uint64
 	MeasureCount uint64
 
-	generated uint64
-	Latency   Accumulator
-
+	generated         uint64
 	measuredDelivered uint64
 }
 
@@ -128,43 +104,18 @@ func (c *Collector) NextPhase() Phase {
 	}
 }
 
-// Record registers the delivery of a message generated in phase p with
-// the given latency.
-func (c *Collector) Record(p Phase, latency float64) {
-	if p != Measure {
-		return
+// Record registers the delivery of a message generated in phase p.
+func (c *Collector) Record(p Phase) {
+	if p == Measure {
+		c.measuredDelivered++
 	}
-	c.Latency.Add(latency)
-	c.measuredDelivered++
 }
-
-// Generated returns the total number of messages classified so far.
-func (c *Collector) Generated() uint64 { return c.generated }
 
 // DoneMeasuring reports whether every measured-phase message has been
 // generated and delivered.
 func (c *Collector) DoneMeasuring() bool {
 	return c.generated >= c.WarmupCount+c.MeasureCount &&
 		c.measuredDelivered >= c.MeasureCount
-}
-
-// BatchMeans splits samples into nBatches equal batches and returns the
-// batch means — the standard way to de-correlate steady-state simulation
-// output before interval estimation.
-func BatchMeans(samples []float64, nBatches int) []float64 {
-	if nBatches <= 0 || len(samples) < nBatches {
-		return nil
-	}
-	size := len(samples) / nBatches
-	means := make([]float64, 0, nBatches)
-	for b := 0; b < nBatches; b++ {
-		var sum float64
-		for i := b * size; i < (b+1)*size; i++ {
-			sum += samples[i]
-		}
-		means = append(means, sum/float64(size))
-	}
-	return means
 }
 
 // tTable holds two-sided 95 % Student-t critical values for small degrees

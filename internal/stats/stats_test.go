@@ -21,9 +21,6 @@ func TestAccumulatorKnownValues(t *testing.T) {
 	if math.Abs(a.Variance()-32.0/7.0) > 1e-12 {
 		t.Fatalf("variance = %v, want %v", a.Variance(), 32.0/7.0)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", a.Min(), a.Max())
-	}
 }
 
 func TestAccumulatorMatchesNaiveComputation(t *testing.T) {
@@ -75,15 +72,18 @@ func TestCollectorPhaseProtocol(t *testing.T) {
 
 func TestCollectorOnlyMeasuresMeasurePhase(t *testing.T) {
 	c := Collector{WarmupCount: 1, MeasureCount: 2}
-	c.Record(Warmup, 100)
-	c.Record(Drain, 100)
-	if c.Latency.Count() != 0 {
-		t.Fatal("warmup/drain samples leaked into statistics")
+	for range 3 {
+		c.NextPhase()
 	}
-	c.Record(Measure, 10)
-	c.Record(Measure, 20)
-	if c.Latency.Count() != 2 || c.Latency.Mean() != 15 {
-		t.Fatalf("measured stats wrong: %v", c.Latency.String())
+	c.Record(Warmup)
+	c.Record(Drain)
+	c.Record(Measure)
+	if c.DoneMeasuring() {
+		t.Fatal("warmup/drain deliveries counted as measured")
+	}
+	c.Record(Measure)
+	if !c.DoneMeasuring() {
+		t.Fatal("not done after both measured deliveries")
 	}
 }
 
@@ -96,7 +96,7 @@ func TestCollectorDoneMeasuring(t *testing.T) {
 		t.Fatal("done before measured messages delivered")
 	}
 	for i := 0; i < 3; i++ {
-		c.Record(Measure, 1)
+		c.Record(Measure)
 	}
 	if !c.DoneMeasuring() {
 		t.Fatal("not done after all measured messages delivered")
@@ -114,20 +114,6 @@ func TestCI95ShrinksWithSamples(t *testing.T) {
 	}
 	if large.CI95() >= small.CI95() {
 		t.Fatalf("CI95 did not shrink: %v -> %v", small.CI95(), large.CI95())
-	}
-}
-
-func TestBatchMeans(t *testing.T) {
-	samples := []float64{1, 1, 2, 2, 3, 3, 4, 4}
-	means := BatchMeans(samples, 4)
-	want := []float64{1, 2, 3, 4}
-	for i := range want {
-		if means[i] != want[i] {
-			t.Fatalf("batch means = %v, want %v", means, want)
-		}
-	}
-	if BatchMeans(samples, 0) != nil || BatchMeans([]float64{1}, 2) != nil {
-		t.Fatal("degenerate batch splits must return nil")
 	}
 }
 

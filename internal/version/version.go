@@ -14,7 +14,7 @@ import (
 var Version = "0.2.0-dev"
 
 // String renders the one-line `-version` output for a named tool,
-// e.g. "ccmodel version 0.2.0-dev go1.24.0 linux/amd64".
+// e.g. "ccscen version 0.2.0-dev go1.24.0 linux/amd64".
 func String(tool string) string {
 	return fmt.Sprintf("%s version %s %s %s/%s",
 		tool, Version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
